@@ -1,19 +1,19 @@
 """Fast-path serving throughput: precomputed lookup tables vs full forward.
 
 The fast path (:mod:`repro.core.fast_path`) precomputes per-model lookup
-tables at fit/refresh time — pooled transformer hiddens per (series,
-window), fine-grained signals and kernel-regression summaries per missing
-cell, plus frozen copies of the decode/output parameters — so that
+tables at fit time — pooled transformer hiddens per (series, window),
+fine-grained signals and kernel-regression summaries per missing cell,
+plus frozen copies of the decode/output parameters — so that
 *repeat-snapshot* traffic (requests whose content matches the fitted
 tensor: dashboards re-polling, retry storms, replicas warming) is answered
 with NumPy gathers and one small matmul instead of a fused forward pass.
 
 This benchmark measures that trade end to end on the same model weights:
 
-* **full forward** — a model fitted with ``fast_path="off"`` serves the
+* **full forward** — a model fitted with ``fast_path=False`` serves the
   repeat traffic through the fused forward (the floor the tables beat);
-* **cold build** — one ``refresh_fast_path()`` is timed: the price paid
-  once per (re)fit, amortised over every warm request after it;
+* **cold build** — one ``build_fast_path_tables()`` call is timed: the
+  price paid once per fit, amortised over every warm request after it;
 * **warm lookup** — the same traffic against the built tables
   (acceptance bar: **>= 4x** full-forward requests/sec in full mode,
   >= 2x in fast mode where fixed per-request overhead looms larger);
@@ -36,6 +36,7 @@ import time
 from repro.api import ImputationService
 from repro.api.requests import ImputeRequest
 from repro.core.config import DeepMVIConfig
+from repro.core.fast_path import build_fast_path_tables
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.data.tensor import TimeSeriesTensor
 from repro.gateway import Gateway, GatewayConfig
@@ -115,18 +116,21 @@ def test_fast_path_throughput(results_dir):
 
     # -- full forward: the same weights with the fast path disabled ----- #
     service = ImputationService()
-    off_config = DeepMVIConfig(**SERVING_CONFIG, fast_path="off")
+    off_config = DeepMVIConfig(**SERVING_CONFIG, fast_path=False)
     off_id = service.fit(incomplete, method="deepmvi", config=off_config)
     full_rps = _throughput(_serve_all(service, off_id, traffic),
                            len(traffic))
 
     # -- cold build: the one-off price of the tables -------------------- #
-    warm_config = DeepMVIConfig(**SERVING_CONFIG, fast_path="lazy")
-    warm_id = service.fit(incomplete, method="deepmvi", config=warm_config)
+    warm_id = service.fit(incomplete, method="deepmvi",
+                          config=DeepMVIConfig(**SERVING_CONFIG))
+    warm = service.store.get(warm_id)
+    assert warm.fast_path_info()["built"] is True
     build_start = time.perf_counter()
-    info = service.refresh_fast_path(warm_id)
+    tables = build_fast_path_tables(
+        warm.model, warm.context, batch_size=warm.config.impute_batch_size)
     cold_build_seconds = time.perf_counter() - build_start
-    assert info["built"] is True
+    info = tables.describe()
 
     # -- warm lookup: the same traffic served from the tables ----------- #
     warm_rps = _throughput(_serve_all(service, warm_id, traffic),

@@ -12,10 +12,7 @@ Two hot paths carry essentially all of DeepMVI's steady-state compute:
 * **serving** — a micro-batched ``gather()`` sweep fuses the requests'
   missing-cell batches into shared forward calls
   (``DeepMVIImputer.impute_many``).  Requests/sec is measured for
-  one-at-a-time ``impute()`` calls and a fused serial ``gather()``.  The
-  historical process-pool comparison (two models, two workers) is settled
-  — pool startup dominates at this request cost (~0.34x) — and now only
-  runs with ``REPRO_BENCH_FULL_MATRIX=1``; see ``benchmarks/README.md``.
+  one-at-a-time ``impute()`` calls and a fused ``gather()``.
 
 Results land in ``benchmarks/results/hot_path.{txt,json}``.  In full mode
 (no ``REPRO_BENCH_FAST``) the payload is also written to the repo-root
@@ -27,7 +24,6 @@ speeds) against ``benchmarks/baselines/hot_path_fast.json`` via
 """
 
 import json
-import os
 import pathlib
 import time
 
@@ -92,42 +88,6 @@ def _assembly_sampler():
     return TrainingSampler(context, shapes, np.random.default_rng(0))
 
 
-def _parallel_serving_matrix(incomplete, config, windows, metrics, lines):
-    """Full-matrix extra: two models' fused batches over a process pool.
-
-    Kept out of the default run because the outcome is settled (pool
-    startup dominates at benchmark request cost; the fused serial path
-    wins ~3x) — see benchmarks/README.md for the retirement rationale.
-    """
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as store_dir:
-        serial_svc = ImputationService(store_dir=store_dir)
-        ids = [serial_svc.fit(incomplete, method="deepmvi", config=config)
-               for _ in range(2)]
-
-        def fan(svc):
-            def run():
-                for index, window in enumerate(windows):
-                    svc.submit(window, model_id=ids[index % 2])
-                svc.gather()
-            return run
-
-        serial_two_rps = _throughput(fan(serial_svc), len(windows))
-        parallel_svc = ImputationService(store_dir=store_dir, workers=2)
-        parallel_rps = _throughput(fan(parallel_svc), len(windows))
-        metrics["serving.two_model_serial_requests_per_sec"] = serial_two_rps
-        metrics["serving.two_model_parallel_requests_per_sec"] = parallel_rps
-        metrics["serving.parallel_speedup"] = \
-            parallel_rps / max(serial_two_rps, 1e-9)
-        lines.append(
-            f"serving  2 models serial {serial_two_rps:>8.1f} req/sec   "
-            f"parallel(2 workers) {parallel_rps:>8.1f} req/sec   "
-            f"speedup {metrics['serving.parallel_speedup']:.2f}x"
-            "  [each sweep pays pool startup; at this per-request cost the"
-            " fused serial path wins]")
-
-
 def test_hot_path_throughput(results_dir):
     metrics = {}
     lines = []
@@ -149,7 +109,7 @@ def test_hot_path_throughput(results_dir):
             f"vectorised {vectorised:>12,.0f} samples/sec   "
             f"speedup {speedup:.2f}x")
 
-    # -- serving: sequential vs fused vs parallel-fused ----------------- #
+    # -- serving: sequential vs fused ---------------------------------- #
     truth = bench_dataset(SERVING_DATASET, seed=0)
     incomplete, _ = apply_scenario(truth, SCENARIO, seed=0)
     config = DeepMVIConfig(**SERVING_CONFIG)
@@ -184,14 +144,6 @@ def test_hot_path_throughput(results_dir):
         f"serving  sequential {sequential_rps:>8.1f} req/sec   "
         f"fused {fused_rps:>8.1f} req/sec   speedup {fused_speedup:.2f}x")
 
-    # Parallel serving: two models' fused batches over a process pool.
-    # Retired from the default hot-path run (see benchmarks/README.md):
-    # at this per-request cost pool startup dominates and the comparison
-    # has answered its question (serving.parallel_speedup ~0.34x, the
-    # fused serial path wins).  Re-enable with REPRO_BENCH_FULL_MATRIX=1.
-    if os.environ.get("REPRO_BENCH_FULL_MATRIX", "") not in ("", "0"):
-        _parallel_serving_matrix(incomplete, config, windows, metrics,
-                                 lines)
     payload = {
         "benchmark": "hot_path",
         "fast_mode": is_fast(),

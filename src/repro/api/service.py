@@ -12,9 +12,9 @@ behind a serving-oriented API on top of the experiment engine:
   model — no retraining;
 * :meth:`~ImputationService.submit` / :meth:`~ImputationService.gather`
   queue many requests and run them **micro-batched**: requests against the
-  same model are grouped into one serving batch that loads the model once,
-  and the batches run through the engine executors (serially, or across a
-  process pool with ``workers=N``).
+  same model are grouped into one serving batch that fetches the model
+  once, and the batches run in process through the engine's serial
+  executor.  Multi-process serving is :mod:`repro.cluster`'s job.
 
 The one-liner for scripts and notebooks::
 
@@ -47,7 +47,7 @@ from repro.baselines.registry import ImputerRegistry, get_registry
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
 from repro.engine.artifacts import MANIFEST_FILENAME, load_imputer, save_imputer
-from repro.engine.executor import ExecutionReport, make_executor
+from repro.engine.executor import ExecutionReport, SerialExecutor
 from repro.engine.jobs import JobResult
 from repro.exceptions import ServiceError, ValidationError
 from repro.obs import trace as obs_trace
@@ -189,8 +189,7 @@ class ModelStore:
 
     With a ``directory``, every stored model is also persisted as an
     engine artifact (:func:`repro.engine.artifacts.save_imputer`) under
-    ``directory/<model_id>/``, so models survive restarts and can be served
-    by worker processes that only receive the artifact path.  Persistence
+    ``directory/<model_id>/``, so models survive restarts.  Persistence
     is pluggable: pass ``backend=`` instead of ``directory`` to park models
     somewhere else (the cluster tier stores them as blobs in SQLite via
     :class:`~repro.cluster.store.SQLiteBackend`); ``directory`` is sugar
@@ -229,11 +228,6 @@ class ModelStore:
         self._models = LRUModelCache(max_cached_models,
                                      max_bytes=max_cached_bytes)
         self._method_names: Dict[str, str] = {}
-
-    @property
-    def persistent(self) -> bool:
-        """Whether stored models survive this process (backend present)."""
-        return self.backend is not None
 
     # ------------------------------------------------------------------ #
     def path(self, model_id: str) -> Optional[str]:
@@ -307,7 +301,7 @@ class ModelStore:
         return self._models.stats()
 
     def fast_path_stats(self) -> Dict[str, Dict[str, object]]:
-        """Fast-path telemetry per *warm* model (build cost, staleness).
+        """Fast-path telemetry per *warm* model (build cost, size).
 
         Reads the cache with :meth:`LRUModelCache.peek` so telemetry
         polling distorts neither the hit/miss counters nor the LRU
@@ -353,25 +347,22 @@ class ModelStore:
 
 
 # ---------------------------------------------------------------------- #
-# serving batches (run through the engine executors)
+# serving batches (run through the engine's serial executor)
 # ---------------------------------------------------------------------- #
 @dataclass
 class ServingBatch:
     """All queued requests against one fitted model, executed as one job.
 
-    The model crosses to the job either as a live ``imputer`` (serial
-    serving) or as an ``artifact_path`` that the worker loads once for the
-    whole batch (parallel serving) — either way it is fitted exactly once,
-    at :meth:`ImputationService.fit` time.
+    The model rides along as a live ``imputer``, fitted exactly once, at
+    :meth:`ImputationService.fit` time.
     """
 
     model_id: str
+    imputer: BaseImputer
     #: registry method name; ``None`` falls back to the imputer's display
-    #: name once the model is loaded
+    #: name
     method: Optional[str] = None
     requests: List[ImputeRequest] = field(default_factory=list)
-    imputer: Optional[BaseImputer] = None
-    artifact_path: Optional[str] = None
 
     def key(self) -> str:
         ids = ",".join(str(r.request_id) for r in self.requests)
@@ -386,11 +377,11 @@ def _latency(request: ImputeRequest, end: float, compute: float) -> float:
     """End-to-end latency of ``request``: queue wait + compute.
 
     Measured from the admission stamp (``enqueued_at``, set by the
-    service's ``submit`` or by the gateway) to ``end``.  Requests served
-    without queueing have no stamp and report the compute time itself.
-    ``perf_counter`` is CLOCK_MONOTONIC system-wide on the platforms we
-    run, so the stamp stays comparable across the engine's worker
-    processes on one host.
+    service's ``submit``, the gateway or the cluster router) to ``end``.
+    Requests served without queueing have no stamp and report the compute
+    time itself.  ``perf_counter`` is CLOCK_MONOTONIC system-wide on the
+    platforms we run, so a router's stamp stays comparable in a shard
+    process on the same host.
     """
     if request.enqueued_at is None:
         return compute
@@ -412,10 +403,10 @@ def _fast_path_flags(imputer: BaseImputer, count: int) -> List[bool]:
 
 def execute_serving_batch(batch: ServingBatch,
                           key: Optional[str] = None) -> JobResult:
-    """Run one micro-batch: load the model once, impute every request.
+    """Run one micro-batch: impute every request with the batch's model.
 
-    Module-level so :class:`~repro.engine.executor.ParallelExecutor` can
-    pickle it to worker processes.  The returned :class:`JobResult` carries
+    Shared by :meth:`ImputationService.gather`, the gateway's locked lane
+    and the cluster shards.  The returned :class:`JobResult` carries
     ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``.
 
     The batch is first served **fused**: one ``impute_many`` call completes
@@ -424,24 +415,13 @@ def execute_serving_batch(batch: ServingBatch,
     into single network calls).  If the fused call raises, the batch falls
     back to per-request serving so the failure is isolated to the request
     that caused it: one bad tensor never discards the finished imputations
-    of its batch siblings.  Only a failure to obtain the model at all
-    (missing artifact, unpicklable state) fails the whole batch.
+    of its batch siblings.
     """
     import traceback
 
     key = batch.key() if key is None else key
-    try:
-        imputer = batch.imputer
-        if imputer is None:
-            if batch.artifact_path is None:
-                raise ServiceError(
-                    f"serving batch for {batch.model_id!r} has neither a "
-                    "live imputer nor an artifact path")
-            imputer = load_imputer(batch.artifact_path)
-        method = batch.method or getattr(imputer, "name",
-                                         type(imputer).__name__)
-    except Exception:
-        return JobResult(key=key, error=traceback.format_exc())
+    imputer = batch.imputer
+    method = batch.method or getattr(imputer, "name", type(imputer).__name__)
 
     results: List[ImputeResult] = []
     failures: List[Dict[str, str]] = []
@@ -542,20 +522,13 @@ def execute_serving_batch(batch: ServingBatch,
 # the service
 # ---------------------------------------------------------------------- #
 class ImputationService:
-    """Serving façade over the registry, model store and engine executors.
+    """Serving façade over the registry, model store and engine executor.
 
     Parameters
     ----------
     store_dir:
         Optional directory for the model store; fitted models are persisted
         there as engine artifacts and reloaded lazily.
-    workers:
-        Executor width for :meth:`gather`; ``1`` serves batches serially in
-        process, ``N > 1`` fans distinct models' batches over a process
-        pool.  With a ``store_dir`` workers receive only the artifact path
-        and load the model themselves; without one the fitted imputer is
-        pickled to the pool per batch — correct, but expensive for deep
-        models, so prefer a store directory for parallel serving.
     registry:
         Method registry; defaults to the process-wide plugin registry.
     max_cached_models:
@@ -564,7 +537,7 @@ class ImputationService:
         ``None`` keeps every model in memory (the historical behaviour).
     """
 
-    def __init__(self, store_dir: Optional[str] = None, workers: int = 1,
+    def __init__(self, store_dir: Optional[str] = None,
                  registry: Optional[ImputerRegistry] = None,
                  store: Optional[ModelStore] = None,
                  max_cached_models: Optional[int] = None) -> None:
@@ -577,7 +550,6 @@ class ImputationService:
         journal = self.store.directory / "model_versions.jsonl" \
             if self.store.directory is not None else None
         self.versions = VersionRegistry(journal_path=journal)
-        self.workers = workers
         self._pending: List[ImputeRequest] = []
         self._model_counter = itertools.count(1)
         self._request_counter = itertools.count(1)
@@ -757,9 +729,9 @@ class ImputationService:
         """Serve every queued request, micro-batched per model.
 
         Requests against the same model id are grouped into one
-        :class:`ServingBatch` (the model is loaded once per batch, never
-        refitted) and the batches run through an engine executor.  Results
-        come back in submit order.
+        :class:`ServingBatch` (the model is fetched once per batch, never
+        refitted) and the batches run in process through the engine's
+        serial executor.  Results come back in submit order.
 
         Failures are isolated per *request*: a bad tensor neither aborts its
         batch siblings nor other models' batches.  With ``raise_on_error``
@@ -776,11 +748,14 @@ class ImputationService:
         for request in pending:
             batch = batches.get(request.model_id)
             if batch is None:
-                batch = self._new_batch(request.model_id)
+                batch = ServingBatch(
+                    model_id=request.model_id,
+                    method=self.store.method_for(request.model_id),
+                    imputer=self.store.get(request.model_id))
                 batches[request.model_id] = batch
             batch.requests.append(request)
 
-        executor = make_executor(self.workers)
+        executor = SerialExecutor()
         job_results = executor.run(list(batches.values()),
                                    run_fn=execute_serving_batch)
         self.last_report = executor.last_report
@@ -807,32 +782,6 @@ class ImputationService:
             raise error
         return ordered
 
-    # -- fast-path lifecycle -------------------------------------------- #
-    def refresh_fast_path(self, model_id,
-                          background: bool = False) -> Dict[str, object]:
-        """Rebuild a stored model's fast-path lookup tables.
-
-        Called after a refit (or on demand) so steady-state traffic keeps
-        hitting fresh tables.  With ``background=True`` the build runs in
-        the imputer's daemon thread and serving continues meanwhile; the
-        synchronous form also re-persists the artifact so a cold-started
-        store serves fast immediately.  Accepts a :class:`ModelRef` or a
-        concrete/legacy model id.  Returns the model's fast-path telemetry
-        snapshot.
-        """
-        model_id = self.resolve_ref(model_id)
-        imputer = self.store.get(model_id)
-        refresh = getattr(imputer, "refresh_fast_path", None)
-        if not callable(refresh):
-            raise ServiceError(
-                f"model {model_id!r} ({type(imputer).__name__}) has no "
-                "fast path to refresh")
-        refresh(background=background)
-        if not background and self.store.persistent:
-            self.store.put(model_id, imputer,
-                           method=self.store.method_for(model_id))
-        return imputer.fast_path_info()
-
     # -- introspection -------------------------------------------------- #
     def list_models(self) -> List[str]:
         """Ids of every model this service can serve."""
@@ -847,7 +796,6 @@ class ImputationService:
             "models": self.list_models(),
             "pending_requests": len(self._pending),
             "fit_counts": dict(self.fit_counts),
-            "workers": self.workers,
             "store_dir": str(self.store.directory) if self.store.directory
             else None,
             "model_cache": self.store.cache_stats(),
@@ -877,17 +825,6 @@ class ImputationService:
     def _method_for(self, model_id: str, imputer: BaseImputer) -> str:
         return self.store.method_for(model_id) or \
             getattr(imputer, "name", type(imputer).__name__)
-
-    def _new_batch(self, model_id: str) -> ServingBatch:
-        method = self.store.method_for(model_id)
-        if self.workers > 1 and self.store.path(model_id) is not None \
-                and model_id in self.store:
-            # Parallel serving ships only the artifact path; the worker
-            # loads the fitted model once for the whole batch.
-            return ServingBatch(model_id=model_id, method=method,
-                                artifact_path=self.store.path(model_id))
-        return ServingBatch(model_id=model_id, method=method,
-                            imputer=self.store.get(model_id))
 
 
 # ---------------------------------------------------------------------- #

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.exceptions import ConfigError
 
@@ -67,15 +66,10 @@ class DeepMVIConfig:
 
     # -- inference -------------------------------------------------------- #
     impute_batch_size: int = 256
-    #: fast-path lookup tables (:mod:`repro.core.fast_path`): ``"fit"``
-    #: builds them synchronously at fit time, ``"lazy"`` on first serve,
-    #: ``"background"`` in a daemon thread spawned by ``fit()`` (serving
-    #: falls back to the full forward until the build lands), ``"off"``
-    #: disables the fast path entirely.
-    fast_path: str = "fit"
-    #: serve from tables at most this many seconds after their build;
-    #: older tables are treated as a total miss (``None`` = no budget).
-    fast_path_staleness_seconds: Optional[float] = None
+    #: fast-path lookup tables (:mod:`repro.core.fast_path`): built with
+    #: the model at fit time and exact for it; ``False`` serves every
+    #: request through the full forward.
+    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.n_filters < 1:
@@ -94,13 +88,9 @@ class DeepMVIConfig:
             raise ConfigError("batch_size and samples_per_epoch must be positive")
         if self.kernel_gamma <= 0:
             raise ConfigError("kernel_gamma must be positive")
-        if self.fast_path not in ("fit", "lazy", "background", "off"):
+        if not isinstance(self.fast_path, bool):
             raise ConfigError(
-                "fast_path must be one of 'fit', 'lazy', 'background', 'off'")
-        if self.fast_path_staleness_seconds is not None \
-                and self.fast_path_staleness_seconds <= 0:
-            raise ConfigError(
-                "fast_path_staleness_seconds must be positive when set")
+                f"fast_path must be True or False, got {self.fast_path!r}")
 
     # ------------------------------------------------------------------ #
     def with_window_for_block_size(self, average_block_size: float) -> "DeepMVIConfig":

@@ -42,10 +42,11 @@ content agreement decides each window individually.  Sliding-window
 streaming traffic therefore serves its unchanged windows from the tables
 and pays forward passes only for the windows that actually moved.
 
-Tables are immutable once built: concurrent readers (the gateway's
-no-lock fast lane) see either the old or the new table object, never a
-half-built one, so refreshes can happen in a background thread while
-serving continues stale-but-fast.
+Tables are built together with the model they serve (at fit time, or
+when a saved model without tables is restored) and are exact for it, so
+they have no lifecycle: no staleness, no refresh.  They are immutable
+once built, which is what lets concurrent readers (the gateway's no-lock
+fast lane) use them without a lock.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class FastPathTables:
     cells: int = 0
     #: wall-clock seconds the build took
     build_seconds: float = 0.0
-    #: ``time.time()`` stamp of the build (wall clock so staleness survives
-    #: artifact round trips across processes)
-    built_at: float = 0.0
 
     # -- attached, never serialised ---------------------------------------- #
     #: padded normalised fitted matrix / availability, for hit detection
@@ -145,18 +143,6 @@ class FastPathTables:
             if array is not None:
                 total += array.nbytes
         return total
-
-    def age_seconds(self, now: Optional[float] = None) -> float:
-        """Wall-clock seconds since the tables were built."""
-        # Staleness must survive process restarts, so it is anchored to the
-        # wall clock, not the monotonic clock.  # repro-lint: allow[wall-clock]
-        return max((time.time() if now is None else now) - self.built_at, 0.0)
-
-    def stale(self, budget_seconds: Optional[float],
-              now: Optional[float] = None) -> bool:
-        """Whether the staleness budget (None = no budget) is exceeded."""
-        return budget_seconds is not None and \
-            self.age_seconds(now) > budget_seconds
 
     # ------------------------------------------------------------------ #
     def match_windows(self, context: DatasetContext) -> Optional[np.ndarray]:
@@ -291,11 +277,12 @@ class FastPathTables:
             "output_bias": self.output_bias,
             "cells": int(self.cells),
             "build_seconds": float(self.build_seconds),
-            "built_at": float(self.built_at),
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "FastPathTables":
+        # Keys not read here (states saved by earlier versions also carry
+        # a build timestamp) are ignored.
         return cls(
             window=int(state["window"]),
             n_series=int(state["n_series"]),
@@ -318,7 +305,6 @@ class FastPathTables:
             output_bias=np.asarray(state["output_bias"]),
             cells=int(state["cells"]),
             build_seconds=float(state["build_seconds"]),
-            built_at=float(state["built_at"]),
         )
 
     def describe(self) -> Dict[str, object]:
@@ -329,7 +315,6 @@ class FastPathTables:
             if self.window_slot is not None else 0,
             "nbytes": int(self.nbytes),
             "build_seconds": float(self.build_seconds),
-            "age_seconds": float(self.age_seconds()),
         }
 
 
@@ -342,7 +327,7 @@ def build_fast_path_tables(model, context: DatasetContext,
     chunks) over every fitted-missing cell, so the stored signals are the
     very values the full forward would compute — the source of the
     bit-comparable equivalence.  Cost is one imputation sweep's worth of
-    forward passes, paid once per (re)fit instead of once per request.
+    forward passes, paid once per fit instead of once per request.
     """
     from repro.nn.tensor import no_grad
 
@@ -425,10 +410,8 @@ def build_fast_path_tables(model, context: DatasetContext,
         output_weight=model.output_layer.weight.data.copy(),
         output_bias=model.output_layer.bias.data.copy(),
         cells=int(n_cells),
-        build_seconds=0.0,
-        built_at=time.time(),  # repro-lint: allow[wall-clock]
+        build_seconds=time.perf_counter() - start_clock,
     )
-    tables.build_seconds = time.perf_counter() - start_clock
     return tables.attach(context)
 
 

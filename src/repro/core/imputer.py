@@ -16,8 +16,7 @@ and downstream code can treat every method uniformly::
 
 from __future__ import annotations
 
-import threading
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -36,6 +35,24 @@ from repro.core.training import DeepMVITrainer, TrainingHistory
 from repro.data.tensor import TimeSeriesTensor
 from repro.exceptions import NotFittedError
 from repro.obs.trace import stage
+
+
+@dataclass
+class _Plan:
+    """One request on its way through serving.
+
+    Its context, the missing cells still to predict, and the normalised
+    matrix the predictions scatter into.
+    """
+
+    tensor: TimeSeriesTensor
+    context: DatasetContext
+    cells: np.ndarray
+    matrix: np.ndarray
+
+    def complete(self) -> TimeSeriesTensor:
+        filled = self.context.denormalise(self.matrix)
+        return self.tensor.fill(filled.reshape(self.tensor.values.shape))
 
 
 class DeepMVIImputer(BaseImputer):
@@ -65,8 +82,8 @@ class DeepMVIImputer(BaseImputer):
         self.context: Optional[DatasetContext] = None
         self.history: Optional[TrainingHistory] = None
         self._fitted_tensor: Optional[TimeSeriesTensor] = None
-        #: precomputed serving tables (:mod:`repro.core.fast_path`);
-        #: immutable once built, swapped atomically on (re)build
+        #: precomputed serving tables (:mod:`repro.core.fast_path`), built
+        #: with the model whenever the fast path is on; immutable
         self.fast_path_tables: Optional[FastPathTables] = None
         #: per-plan telemetry of the most recent :meth:`impute_many` call
         self.last_impute_info: Optional[List[Dict[str, object]]] = None
@@ -96,6 +113,7 @@ class DeepMVIImputer(BaseImputer):
         # A refit may have changed the window/config: every cached serving
         # template is structured for the old settings.
         self._structure_cache().clear()
+        self.fast_path_tables = None
         self.context = self._build_context(tensor)
         self.model = DeepMVIModel(
             config=config,
@@ -110,11 +128,7 @@ class DeepMVIImputer(BaseImputer):
         )
         self.history = trainer.fit()
         self._fitted_tensor = tensor
-        self.fast_path_tables = None
-        if config.fast_path == "fit":
-            self.refresh_fast_path()
-        elif config.fast_path == "background":
-            self.refresh_fast_path(background=True)
+        self.fast_path_tables = self._build_fast_path()
         return self
 
     # ------------------------------------------------------------------ #
@@ -138,56 +152,26 @@ class DeepMVIImputer(BaseImputer):
             raise NotFittedError("call fit() before impute()")
         self.model.eval()
 
-        # One plan per tensor: its context, missing cells, and the matrix
-        # the predictions scatter into.
         plans = []
         for tensor in tensors:
-            if tensor is None:
-                tensor = self._fitted_tensor
-            if tensor is self._fitted_tensor:
-                context = self.context
-            else:
-                # Imputing a different tensor re-uses the trained parameters
-                # with a dataset context built around the new data.  The
-                # context is local: the fitted state must survive for later
-                # no-arg calls.  Structural tables (index/sibling rows) are
-                # shared via a per-shape template so window-shaped serving
-                # traffic pays only the per-request value plumbing, and
-                # same-shaped traffic normalises with the fitted statistics
-                # so unchanged windows stay fast-path-compatible.
-                with stage("serve.context_build"):
-                    context = self._build_context(
-                        tensor,
-                        structure_from=self._structure_template(tensor),
-                        normalisation=self._serving_normalisation(tensor))
-                self._remember_structure(tensor, context)
-            missing_cells = np.argwhere(context.avail == 0)
-            # Ignore cells that fall outside the original (unpadded) range.
-            missing_cells = missing_cells[missing_cells[:, 1] < context.n_time]
-            plans.append((tensor, context, missing_cells,
-                          context.matrix.copy()))
+            plan = self._plan(tensor)
+            if plan.context is not self.context:
+                self._remember_structure(plan.tensor, plan.context)
+            plans.append(plan)
 
         # Serve what the precomputed tables cover (repeat traffic over the
         # fitted data) with gathers instead of forward passes; only the
         # leftover cells flow into the fused-forward sweep below.
-        tables = self._fast_path_ready()
+        tables = self.fast_path_tables
         info: list = []
-        for plan_index, (tensor, context, missing_cells, matrix) in \
-                enumerate(plans):
-            total = int(missing_cells.shape[0])
+        for plan in plans:
+            total = int(plan.cells.shape[0])
             served = 0
-            if tables is not None:
-                match = tables.match_windows(context)
-                if match is not None and total:
-                    hits, predictions = tables.lookup(
-                        context, missing_cells, match)
+            if tables is not None and total:
+                hits = self._serve_from_tables(tables, plan)
+                if hits is not None:
                     served = int(hits.sum())
-                    if served:
-                        hit_cells = missing_cells[hits]
-                        matrix[hit_cells[:, 0], hit_cells[:, 1]] = \
-                            predictions[hits]
-                        plans[plan_index] = (tensor, context,
-                                             missing_cells[~hits], matrix)
+                    plan.cells = plan.cells[~hits]
             info.append({
                 "cells": total,
                 "fast_path_hits": served,
@@ -197,7 +181,8 @@ class DeepMVIImputer(BaseImputer):
 
         # Fuse across tensors whose batches can be concatenated.
         groups: dict = {}
-        for index, (tensor, context, missing_cells, _) in enumerate(plans):
+        for index, plan in enumerate(plans):
+            context = plan.context
             signature = (
                 min(context.max_context_windows, context.n_windows),
                 context.window,
@@ -210,8 +195,8 @@ class DeepMVIImputer(BaseImputer):
         for indices in groups.values():
             # Flat (plan, row, t) work list over the whole group, chunked to
             # impute_batch_size; one forward call per chunk.
-            stream = [(index, plans[index][2]) for index in indices
-                      if plans[index][2].shape[0]]
+            stream = [(index, plans[index].cells) for index in indices
+                      if plans[index].cells.shape[0]]
             # Walk the concatenated cell stream in chunk-sized strides,
             # slicing per plan so each chunk knows where to scatter back.
             chunk: list = []
@@ -233,26 +218,22 @@ class DeepMVIImputer(BaseImputer):
             for chunk in flushes:
                 pieces = []
                 for index, start, stop in chunk:
-                    _, context, cells, _ = plans[index]
-                    pieces.append(context.build_batch(
-                        series_rows=cells[start:stop, 0],
-                        target_times=cells[start:stop, 1]))
+                    plan = plans[index]
+                    pieces.append(plan.context.build_batch(
+                        series_rows=plan.cells[start:stop, 0],
+                        target_times=plan.cells[start:stop, 1]))
                 with stage("serve.forward", chunks=len(chunk)):
                     predictions = self.model.predict(
                         concatenate_batches(pieces))
                 offset = 0
                 for index, start, stop in chunk:
-                    _, _, cells, matrix = plans[index]
-                    taken = stop - start
-                    matrix[cells[start:stop, 0], cells[start:stop, 1]] = \
-                        predictions[offset:offset + taken]
-                    offset += taken
+                    plan = plans[index]
+                    rows, times = plan.cells[start:stop].T
+                    plan.matrix[rows, times] = \
+                        predictions[offset:offset + stop - start]
+                    offset += stop - start
 
-        completed = []
-        for tensor, context, _, matrix in plans:
-            filled = context.denormalise(matrix)
-            completed.append(tensor.fill(filled.reshape(tensor.values.shape)))
-        return completed
+        return [plan.complete() for plan in plans]
 
     # ------------------------------------------------------------------ #
     def fit_impute(self, tensor: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -260,118 +241,82 @@ class DeepMVIImputer(BaseImputer):
         return self.fit(tensor).impute(tensor)
 
     # ------------------------------------------------------------------ #
-    # fast-path lifecycle (precompute-and-lookup serving)
+    # serving plans and the fast path (precompute-and-lookup serving)
     # ------------------------------------------------------------------ #
-    def refresh_fast_path(self,
-                          background: bool = False) -> Optional[FastPathTables]:
-        """(Re)build the lookup tables for the current model + context.
+    def _plan(self, tensor: Optional[TimeSeriesTensor]) -> _Plan:
+        """Context, missing cells and output matrix of one request.
 
-        With ``background=True`` the build runs in a daemon thread and the
-        finished tables are swapped in atomically — serving continues on
-        the old tables (or the full forward) meanwhile.  The swap is
-        skipped if a refit replaced the model while the build ran.
+        ``None`` and the fitted tensor reuse the fitted context.  Any other
+        tensor gets a local context around the trained parameters (the
+        fitted state must survive for later no-arg calls); structural
+        tables are shared via a per-shape template so window-shaped
+        traffic pays only the per-request value plumbing, and same-shaped
+        traffic normalises with the fitted statistics so unchanged windows
+        stay fast-path-compatible.  Reads state only: callers that may
+        write the structure cache do so themselves.
         """
-        if self.model is None or self.context is None:
-            raise NotFittedError("call fit() before refresh_fast_path()")
-        if self.config.fast_path == "off":
-            return None
-        if not background:
-            tables = build_fast_path_tables(
-                self.model, self.context,
-                batch_size=self.config.impute_batch_size)
-            self.fast_path_tables = tables
-            return tables
-        model, context = self.model, self.context
+        if tensor is None or tensor is self._fitted_tensor:
+            tensor, context = self._fitted_tensor, self.context
+        else:
+            with stage("serve.context_build"):
+                context = self._build_context(
+                    tensor, structure_from=self._structure_template(tensor),
+                    normalisation=self._serving_normalisation(tensor))
+        cells = np.argwhere(context.avail == 0)
+        # Ignore cells that fall outside the original (unpadded) range.
+        cells = cells[cells[:, 1] < context.n_time]
+        return _Plan(tensor, context, cells, context.matrix.copy())
 
-        def _build() -> None:
-            tables = build_fast_path_tables(
-                model, context, batch_size=self.config.impute_batch_size)
-            if self.model is model and self.context is context:
-                self.fast_path_tables = tables
+    @staticmethod
+    def _serve_from_tables(tables: FastPathTables,
+                           plan: _Plan) -> Optional[np.ndarray]:
+        """Scatter the table hits of ``plan`` into its matrix.
 
-        thread = threading.Thread(target=_build, name="fast-path-build",
-                                  daemon=True)
-        self._fast_path_thread = thread
-        thread.start()
-        return None
-
-    def wait_for_fast_path(self, timeout: Optional[float] = None) -> bool:
-        """Block until a pending background table build lands (or times out)."""
-        thread = getattr(self, "_fast_path_thread", None)
-        if thread is not None:
-            thread.join(timeout)
-        return self.fast_path_tables is not None
-
-    def _fast_path_ready(self) -> Optional[FastPathTables]:
-        """Usable tables for serving, or None (off / not built / stale).
-
-        ``"lazy"`` mode builds on first use; ``"background"`` mode never
-        builds here — requests run the full forward until the build thread
-        lands, which is what keeps streaming refits non-blocking.
+        Returns the per-cell hit mask, or None when the request is
+        structurally incompatible with the tables (a total miss).
         """
-        mode = self.config.fast_path
-        if mode == "off" or self.model is None:
+        match = tables.match_windows(plan.context)
+        if match is None:
             return None
-        tables = self.fast_path_tables
-        if tables is None:
-            if mode != "lazy":
-                return None
-            tables = self.refresh_fast_path()
-        if tables.stale(self.config.fast_path_staleness_seconds):
+        hits, predictions = tables.lookup(plan.context, plan.cells, match)
+        hit_cells = plan.cells[hits]
+        plan.matrix[hit_cells[:, 0], hit_cells[:, 1]] = predictions[hits]
+        return hits
+
+    def _build_fast_path(self) -> Optional[FastPathTables]:
+        """Tables for the current model + context (None when off)."""
+        if not self.config.fast_path:
             return None
-        return tables
+        return build_fast_path_tables(
+            self.model, self.context,
+            batch_size=self.config.impute_batch_size)
 
     def try_fast_path(self, tensors) -> Optional[list]:
         """All-or-nothing table-only serving; None unless *every* cell hits.
 
         The gateway's no-lock fast lane: reads only immutable state (the
         table object, the frozen fitted context) and writes none of the
-        caches, so concurrent calls need no model lock.  Never builds
-        tables lazily — a miss must stay cheap.
+        caches, so concurrent calls need no model lock.  Gives up at the
+        first request with a miss, so a miss stays cheap.
         """
-        if self.model is None or self.context is None:
-            return None
         tables = self.fast_path_tables
-        if self.config.fast_path == "off" or tables is None \
-                or tables.stale(self.config.fast_path_staleness_seconds):
+        if tables is None or self.model is None or self.context is None:
             return None
         completed = []
         for tensor in tensors:
-            if tensor is None or tensor is self._fitted_tensor:
-                tensor = self._fitted_tensor
-                context = self.context
-            else:
-                context = self._build_context(
-                    tensor, structure_from=self._structure_template(tensor),
-                    normalisation=self._serving_normalisation(tensor))
-            match = tables.match_windows(context)
-            if match is None:
+            plan = self._plan(tensor)
+            hits = self._serve_from_tables(tables, plan)
+            if hits is None or not hits.all():
                 return None
-            missing_cells = np.argwhere(context.avail == 0)
-            missing_cells = missing_cells[missing_cells[:, 1] < context.n_time]
-            hits, predictions = tables.lookup(context, missing_cells, match)
-            if not hits.all():
-                return None
-            matrix = context.matrix.copy()
-            if missing_cells.shape[0]:
-                matrix[missing_cells[:, 0], missing_cells[:, 1]] = predictions
-            filled = context.denormalise(matrix)
-            completed.append(tensor.fill(filled.reshape(tensor.values.shape)))
+            completed.append(plan.complete())
         return completed
 
     def fast_path_info(self) -> Dict[str, object]:
-        """JSON-able fast-path telemetry (mode, build cost, staleness)."""
+        """JSON-able fast-path telemetry (build cost, size)."""
         tables = self.fast_path_tables
-        info: Dict[str, object] = {
-            "mode": self.config.fast_path,
-            "built": tables is not None,
-            "staleness_budget_seconds":
-                self.config.fast_path_staleness_seconds,
-        }
+        info: Dict[str, object] = {"built": tables is not None}
         if tables is not None:
             info.update(tables.describe())
-            info["stale"] = tables.stale(
-                self.config.fast_path_staleness_seconds)
         return info
 
     def memory_nbytes(self) -> int:
@@ -505,7 +450,15 @@ class DeepMVIImputer(BaseImputer):
     def set_state(self, state: Dict[str, object]) -> "DeepMVIImputer":
         """Rebuild the imputer — network, context and all — from a snapshot."""
         self.name = state.get("name", type(self).name)
-        self.config = DeepMVIConfig(**state["config"])
+        # States saved by earlier versions may carry fields the config no
+        # longer has (a table staleness budget), which are dropped, and a
+        # fast-path mode string, of which only "off" meant no tables.
+        known = {item.name for item in fields(DeepMVIConfig)}
+        config = {key: value for key, value in state["config"].items()
+                  if key in known}
+        if isinstance(config.get("fast_path"), str):
+            config["fast_path"] = config["fast_path"] != "off"
+        self.config = DeepMVIConfig(**config)
         self.auto_window = bool(state["auto_window"])
         self._fitted_tensor = state.get("fitted_tensor")
         self.model = None
@@ -526,11 +479,13 @@ class DeepMVIImputer(BaseImputer):
             self.context = self._build_context(self._fitted_tensor)
 
         fast_state = state.get("fast_path")
-        if fast_state is not None and self.context is not None:
+        if self.context is not None and self.config.fast_path:
             # Hit detection re-anchors on the rebuilt context's padded
             # arrays; the reference data itself is never stored twice.
-            self.fast_path_tables = \
+            # States saved without tables get them built here.
+            self.fast_path_tables = (
                 FastPathTables.from_state(fast_state).attach(self.context)
+                if fast_state is not None else self._build_fast_path())
 
         history_state = state.get("history")
         if history_state is not None:

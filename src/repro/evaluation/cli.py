@@ -129,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="persist the fitted model as an artifact here")
     impute.add_argument("--output", default=None,
                         help="write the completed tensors to this .npz file")
-    impute.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for serving batches")
 
     stream = subparsers.add_parser(
         "stream", help="replay a dataset as a windowed stream and report "
@@ -156,10 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--incomplete-fraction", type=float, default=1.0)
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--store-dir", default=None,
-                        help="model-store directory (required for workers "
-                             "to ship artifact paths instead of pickles)")
-    stream.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for each serving step")
+                        help="persist the stream models as artifacts here")
     stream.add_argument("--quiet", action="store_true",
                         help="print only the summary, not per-window rows")
 
@@ -322,7 +317,7 @@ def _command_impute(args: argparse.Namespace) -> int:
                                                   seed=args.seed + index)
         patterns.append((incomplete, missing_mask))
 
-    service = ImputationService(store_dir=args.store_dir, workers=args.workers)
+    service = ImputationService(store_dir=args.store_dir)
     model_id = service.fit(patterns[0][0], method=args.method, **method_kwargs)
     print(f"[service] fitted {args.method!r} once -> model {model_id}")
     for incomplete, _ in patterns:
@@ -681,8 +676,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         args.dataset, method=args.method, scenario=scenario,
         window_size=args.window, stride=args.stride,
         refit_every=args.refit_every, max_history=args.max_history,
-        n_streams=args.streams, workers=args.workers,
-        store_dir=args.store_dir, size=args.size, seed=args.seed)
+        n_streams=args.streams, store_dir=args.store_dir, size=args.size,
+        seed=args.seed)
 
     print(f"[stream] replayed {args.dataset!r} under {scenario.describe()} "
           f"with {args.method!r} (window={args.window}, "

@@ -99,6 +99,13 @@ class GatewayConfig:
         dispatching anyway.  The latency price of batching: under light
         traffic every request pays up to this wait, under heavy traffic
         batches fill to ``max_batch_size`` long before it elapses.
+
+    The fast lane needs no knob: a batch whose every cell hits the model's
+    precomputed lookup tables (:mod:`repro.core.fast_path`) is served
+    with pure table reads and no model lock, so it overlaps freely with a
+    full forward; any miss sends the batch down the locked fused path.
+    ``fast_lane_fallbacks`` in :meth:`Gateway.stats` counts probes that
+    raised.
     """
 
     #: total queued requests admitted across both lanes
@@ -124,11 +131,6 @@ class GatewayConfig:
     #: builds its own service (requires ``store_dir``); ignored when an
     #: existing service is passed in
     max_cached_models: Optional[int] = None
-    #: route batches whose every request hits the precomputed lookup
-    #: tables (:mod:`repro.core.fast_path`) down a no-lock fast lane:
-    #: pure table reads need no per-model serialisation, so fast-lane
-    #: batches overlap freely with a full forward holding the model lock
-    use_fast_path: bool = True
     #: head-sampling rate for request tracing (:mod:`repro.obs`): the
     #: fraction of submitted requests that carry a
     #: :class:`~repro.obs.TraceContext` when ``REPRO_TRACE=1``.  Sampling
@@ -383,11 +385,11 @@ class Gateway:
         Returns a typed :class:`~repro.api.telemetry.MetricsSnapshot` that
         still behaves exactly like the historical dict (same keys, full
         Mapping protocol).  Includes ``fast_path_hit_rate`` (fraction of
-        completions served
-        entirely from lookup tables) and per-model ``fast_path`` table
-        provenance: build seconds, size, staleness age.  When the wrapped
-        service is a cluster router (anything exposing ``shard_stats()``),
-        the snapshot also carries per-shard rollups under ``"shards"``.
+        completions served entirely from lookup tables) and per-model
+        ``fast_path`` table provenance: build seconds and size.  When the
+        wrapped service is a cluster router (anything exposing
+        ``shard_stats()``), the snapshot also carries per-shard rollups
+        under ``"shards"``.
         """
         shard_probe = getattr(self.service, "shard_stats", None)
         return self.metrics.snapshot(
@@ -507,7 +509,7 @@ class Gateway:
         # answerable from the model's precomputed lookup tables, serve it
         # with pure reads — no model lock, no forward pass.  All-or-
         # nothing per batch; any miss falls through to the locked path.
-        if self.config.use_fast_path and self._try_fast_lane(model_id, live):
+        if self._try_fast_lane(model_id, live):
             self._close_batch_spans(traced, batch_spans, dispatched,
                                     len(live), fast_lane=True)
             return
@@ -599,12 +601,12 @@ class Gateway:
             with obs_trace.activate(first_trace):
                 completed = probe([entry.request.data for entry in live])
         except Exception:
-            # The fast lane is opportunistic: any failure (a structurally
-            # odd tensor, a mid-refresh model) falls back to the locked
-            # path, which owns real error reporting — but a silently
-            # failing fast lane would look like a fusion-rate regression,
-            # so count it (``fast_lane_fallbacks`` in stats() extras) and
-            # leave a debug trace behind.
+            # The fast lane is opportunistic: any failure (e.g. a
+            # structurally odd tensor) falls back to the locked path, which
+            # owns real error reporting — but a silently failing fast lane
+            # would look like a fusion-rate regression, so count it
+            # (``fast_lane_fallbacks`` in stats() extras) and leave a
+            # debug trace behind.
             self.metrics.record_fast_lane_fallback()
             logger.debug("fast lane miss for model %s; falling back to "
                          "locked batch path", model_id, exc_info=True)

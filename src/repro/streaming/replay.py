@@ -5,8 +5,8 @@ it applies a missing-value scenario to a ground-truth dataset, feeds the
 incomplete tensor through the windowed serving path, and scores each
 completed window against the hidden truth — per-window MAE, per-window
 latency, and end-to-end throughput (windows/sec).  Multi-stream replays
-give each stream its own scenario seed, which is how the throughput
-benchmark compares serial vs. process-pool serving on identical work.
+give each stream its own scenario seed, so concurrent streams carry
+distinct failure patterns of identical cost.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class ReplayReport:
     rows: List[WindowScore] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     n_streams: int = 1
-    workers: int = 1
     method: str = ""
     scenario: str = ""
 
@@ -83,9 +82,8 @@ class ReplayReport:
     def describe(self) -> str:
         return (f"{self.windows} windows over {self.n_streams} stream(s) in "
                 f"{self.elapsed_seconds:.2f}s ({self.windows_per_second:.1f} "
-                f"windows/sec, workers={self.workers}); mean MAE "
-                f"{self.mean_mae:.3f}, {self.refits} refits, "
-                f"{self.failures} failures")
+                f"windows/sec); mean MAE {self.mean_mae:.3f}, "
+                f"{self.refits} refits, {self.failures} failures")
 
     def to_record(self) -> Dict[str, object]:
         """JSON-safe summary (per-window rows included)."""
@@ -93,7 +91,6 @@ class ReplayReport:
             "method": self.method,
             "scenario": self.scenario,
             "n_streams": self.n_streams,
-            "workers": self.workers,
             "windows": self.windows,
             "failures": self.failures,
             "refits": self.refits,
@@ -145,9 +142,9 @@ def replay(dataset: Union[str, TimeSeriesTensor],
            scenario: Union[str, MissingScenario] = "drift_outage",
            window_size: int = 48, stride: Optional[int] = None,
            refit_every: int = 8, max_history: Optional[int] = 512,
-           n_streams: int = 1, workers: int = 1,
-           store_dir: Optional[str] = None, size: str = "tiny",
-           seed: int = 0, service: Optional[StreamingService] = None,
+           n_streams: int = 1, store_dir: Optional[str] = None,
+           size: str = "tiny", seed: int = 0,
+           service: Optional[StreamingService] = None,
            **method_kwargs) -> ReplayReport:
     """Replay a dataset as ``n_streams`` concurrent windowed streams.
 
@@ -162,8 +159,8 @@ def replay(dataset: Union[str, TimeSeriesTensor],
     scenario = _coerce_scenario(scenario)
 
     svc = service or StreamingService(
-        store_dir=store_dir, workers=workers,
-        default_refit_every=refit_every, default_max_history=max_history)
+        store_dir=store_dir, default_refit_every=refit_every,
+        default_max_history=max_history)
     streams: Dict[str, WindowedStream] = {}
     masks: Dict[str, np.ndarray] = {}
     for k in range(max(1, n_streams)):
@@ -181,8 +178,7 @@ def replay(dataset: Union[str, TimeSeriesTensor],
     elapsed = time.perf_counter() - start
 
     report = ReplayReport(
-        elapsed_seconds=elapsed, n_streams=len(streams),
-        workers=svc.service.workers, method=method,
+        elapsed_seconds=elapsed, n_streams=len(streams), method=method,
         scenario=scenario.describe())
     for stream_id in sorted(served):
         for result in served[stream_id]:

@@ -5,25 +5,22 @@ registered stream owns a model in the wrapped
 :class:`~repro.api.ImputationService` (fitted on that stream's bounded
 history, refreshed every ``refit_every`` windows); each serving *step*
 takes the next pending window of every stream and pushes them through the
-service's micro-batched ``submit``/``gather`` path, so
+service's micro-batched ``submit``/``gather`` path (or a running
+:class:`~repro.gateway.Gateway`), so
 
-* windows of distinct streams run concurrently (one serving batch per
-  model, fanned over the engine's process pool with ``workers > 1``), and
+* every stream's window is served in the same in-process sweep (one
+  serving batch per model), and
 * a failure is isolated to its stream and window — a poisoned window
   produces one failed :class:`StreamWindowResult` while every other
   stream's window in the same step completes normally.
 
-Methods with a serving fast path (:mod:`repro.core.fast_path`) compose
-with the refit cadence: fit DeepMVI with
-``DeepMVIConfig(fast_path="background")`` and every refit-every-K model
-spawns its table build off-thread — windows keep serving through the full
-forward (stale-but-correct) until the tables land, at which point repeat
-traffic drops to table lookups.  :meth:`StreamingService.wait_for_fast_path`
-waits that gap out when determinism matters more than latency.
+Methods with a serving fast path (:mod:`repro.core.fast_path`) build their
+lookup tables inside every refit, so the window that triggered the refit
+is already served by a model that holds tables.
 
 The typical loop::
 
-    svc = StreamingService(workers=4, store_dir="models/")
+    svc = StreamingService(store_dir="models/")
     svc.open_stream("plant-a", method="svdimp", refit_every=8)
     svc.open_stream("plant-b", method="interpolation")
     for window_a, window_b in zip(stream_a, stream_b):
@@ -129,25 +126,21 @@ class StreamingService:
     ----------
     service:
         The :class:`~repro.api.ImputationService` to serve through; built
-        from ``store_dir``/``workers`` when omitted.
+        from ``store_dir`` when omitted.
     store_dir:
-        Model-store directory; required for parallel serving to ship only
-        artifact paths to worker processes.
-    workers:
-        Executor width for each serving step; with ``N > 1`` the streams'
-        serving batches fan out over a process pool.
+        Model-store directory: stream models persist there as artifacts.
     default_refit_every / default_max_history:
         Stream defaults, overridable per :meth:`open_stream`.
     """
 
     def __init__(self, service: Optional[ImputationService] = None,
-                 store_dir: Optional[str] = None, workers: int = 1,
+                 store_dir: Optional[str] = None,
                  registry: Optional[ImputerRegistry] = None,
                  default_refit_every: int = 8,
                  default_max_history: Optional[int] = 512) -> None:
         self.registry = registry or get_registry()
         self.service = service or ImputationService(
-            store_dir=store_dir, workers=workers, registry=self.registry)
+            store_dir=store_dir, registry=self.registry)
         self.default_refit_every = default_refit_every
         self.default_max_history = default_max_history
         self._streams: Dict[str, StreamState] = {}
@@ -319,8 +312,8 @@ class StreamingService:
         Refits (when due) run first, serially in this process — they are
         rare by construction.  The impute requests of every stream then go
         through one ``submit``/``gather`` sweep of the wrapped service, so
-        distinct streams' windows are served concurrently and the windows
-        queued against one model are **fused** into shared forward calls.
+        the windows queued against one model are **fused** into shared
+        forward calls.
 
         ``max_windows`` bounds how many pending windows each stream serves
         in this step: the default ``1`` keeps the historical one-window
@@ -515,32 +508,6 @@ class StreamingService:
             raise ServiceError(
                 f"unknown stream {stream_id!r}; open streams: {known}"
             ) from None
-
-    # -- fast path ------------------------------------------------------ #
-    def wait_for_fast_path(self, stream_id: str,
-                           timeout: Optional[float] = None) -> bool:
-        """Block until the stream's current model has serving tables.
-
-        Streams whose method builds fast-path lookup tables in the
-        background (``DeepMVIConfig(fast_path="background")``) serve
-        full-forward — stale-but-correct — between a refit and the table
-        build landing; this waits that gap out (tests, controlled
-        benchmarks).  Returns False when the stream has no fitted model,
-        the method has no fast path, or the wait timed out.
-        """
-        state = self._state(stream_id)
-        if state.model_id is None:
-            return False
-        imputer = self.service.store.peek(state.model_id)
-        if imputer is None:
-            try:
-                imputer = self.service.store.get(state.model_id)
-            except ServiceError:
-                return False
-        waiter = getattr(imputer, "wait_for_fast_path", None)
-        if not callable(waiter):
-            return False
-        return bool(waiter(timeout))
 
     def _needs_refit(self, state: StreamState) -> bool:
         return refit_due(state.model_id is not None, state.windows_since_fit,

@@ -288,16 +288,21 @@ class TestModelStore:
         # discarding an unknown id is a no-op
         service.store.discard("never-existed")
 
-    def test_parallel_gather_over_artifacts(self, masked_panel, tmp_path):
+    def test_gather_serves_two_models_from_artifacts(self, masked_panel,
+                                                     tmp_path):
         _, incomplete, _, _ = masked_panel
-        service = api.ImputationService(store_dir=str(tmp_path), workers=2)
+        service = api.ImputationService(store_dir=str(tmp_path))
         model_a = service.fit(incomplete, method="mean")
         model_b = service.fit(incomplete, method="interpolation")
-        service.submit(api.ImputeRequest(model_id=model_a))
-        service.submit(api.ImputeRequest(model_id=model_b))
-        results = service.gather()
-        assert len(results) == 2
+        # A fresh service over the directory serves both cold, in one sweep.
+        cold = api.ImputationService(store_dir=str(tmp_path))
+        cold.submit(api.ImputeRequest(model_id=model_a))
+        cold.submit(api.ImputeRequest(model_id=model_b))
+        results = cold.gather()
+        assert [r.model_id for r in results] == [model_a, model_b]
         assert all(r.completed.missing_fraction == 0.0 for r in results)
+        assert cold.last_report.describe() == \
+            "2 jobs: 2 executed, 0 from cache, 0 failed"
 
 
 class TestOneLiner:

@@ -11,6 +11,7 @@ class TestValidation:
         config = DeepMVIConfig()
         assert config.window == 10
         assert config.n_heads == 4
+        assert config.fast_path is True
 
     @pytest.mark.parametrize("field,value", [
         ("n_filters", 0),
@@ -23,6 +24,7 @@ class TestValidation:
         ("batch_size", 0),
         ("samples_per_epoch", 0),
         ("kernel_gamma", 0.0),
+        ("fast_path", "lazy"),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -124,17 +124,16 @@ def test_all_hit_batch_takes_the_no_lock_lane(deepmvi_service, incomplete):
     info = stats["fast_path"][model_id]
     assert info["built"] is True
     assert info["build_seconds"] >= 0.0
-    assert info["age_seconds"] >= 0.0
     assert info["nbytes"] > 0
 
 
 class _ExplodingFastPath(MeanImputer):
-    """Fast-lane probe raises (a mid-refresh model); serving still works."""
+    """Fast-lane probe raises; serving still works."""
 
     name = "boomfast"
 
     def try_fast_path(self, tensors):
-        raise RuntimeError("tables mid-refresh")
+        raise RuntimeError("probe failed")
 
 
 def test_fast_lane_fallbacks_are_counted(incomplete):
@@ -159,22 +158,3 @@ def test_fast_lane_fallbacks_are_counted(incomplete):
     assert all(np.isfinite(r.completed.values).all() for r in served)
     assert stats["completed"] == 2
     assert stats["fast_lane_fallbacks"] >= 1
-
-
-def test_fast_lane_can_be_disabled(deepmvi_service, incomplete):
-    service, model_id = deepmvi_service
-    gateway = Gateway(service, GatewayConfig(max_batch_size=8,
-                                             max_wait_ms=20.0,
-                                             use_fast_path=False),
-                      start=False)
-    futures = gateway.submit_many(
-        [_copy_of(incomplete, f"copy-{i}") for i in range(2)],
-        model_id=model_id)
-    gateway.start()
-    served = [future.result(timeout=60.0) for future in futures]
-    gateway.close()
-    # The locked lane still serves table hits inside the fused pass; only
-    # the lock-free shortcut is off.
-    for result in served:
-        assert result.fused is True
-        assert result.fast_path is True
