@@ -6,10 +6,9 @@ A :class:`ModelRef` names a model *lineage* plus a version within it —
 serves.  Every serving entry point that historically took a bare
 ``model_id: str`` (:meth:`ImputationService.impute`/``submit``,
 :meth:`Gateway.submit`, :meth:`ClusterRouter.submit`,
-``StreamingService.open_stream(warm_start=...)``) now accepts either a
-``ModelRef`` or the legacy string; bare strings keep working through
-:func:`ModelRef.parse` but are deprecated at the public façades
-(:func:`warn_bare_model_id`).
+``StreamingService.open_stream(warm_start=...)``) accepts either a
+``ModelRef`` or a string; :meth:`ModelRef.parse` is the one rule, and a
+bare string means ``@latest``.
 
 Refs never reach the model store or the wire: the façade resolves them to
 a *concrete* store id first (``"climate"`` for version 1, ``"climate.v2"``
@@ -20,13 +19,12 @@ stores, shards and journals keep operating on plain validated ids.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 from repro.exceptions import ValidationError
 
-__all__ = ["LATEST", "ModelRef", "check_model_id", "warn_bare_model_id"]
+__all__ = ["LATEST", "ModelRef", "check_model_id"]
 
 #: floating version selector: "whatever the lineage currently serves"
 LATEST = "latest"
@@ -76,13 +74,10 @@ class ModelRef:
 
     @classmethod
     def parse(cls, value: Union["ModelRef", str]) -> "ModelRef":
-        """Compat parse: accepts a ``ModelRef``, ``"m"``, ``"m@3"``,
-        ``"m@latest"``.
+        """Accepts a ``ModelRef``, ``"m"``, ``"m@3"`` or ``"m@latest"``.
 
-        A bare string means ``@latest`` — exactly what the legacy
-        ``model_id: str`` convention meant implicitly.  Does not warn;
-        deprecation of bare strings is the façades' business
-        (:func:`warn_bare_model_id`).
+        A bare string means ``@latest`` — exactly what the historical
+        ``model_id: str`` convention meant implicitly.
         """
         if isinstance(value, ModelRef):
             return value
@@ -119,19 +114,3 @@ class ModelRef:
     def pinned(self) -> bool:
         """True when this ref names an explicit version."""
         return self.version != LATEST
-
-
-def warn_bare_model_id(value, *, where: str, stacklevel: int = 4) -> None:
-    """Emit the deprecation warning for a legacy bare-string model id.
-
-    Called by the public serving façades when the caller passed a plain
-    ``str`` where a :class:`ModelRef` is now expected.  The string keeps
-    working (it parses as ``@latest``, or as a pinned ref when it contains
-    ``@``); the warning nudges call sites toward the typed surface.
-    """
-    if isinstance(value, str):
-        warnings.warn(
-            f"passing a bare model-id string to {where} is deprecated; "
-            f"pass repro.api.ModelRef.parse({value!r}) (or a ModelRef) "
-            "instead",
-            DeprecationWarning, stacklevel=stacklevel)

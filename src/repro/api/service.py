@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.api.model_cache import LRUModelCache
-from repro.api.refs import ModelRef, warn_bare_model_id
+from repro.api.refs import ModelRef
 from repro.api.requests import (
     FitRequest,
     ImputeRequest,
@@ -91,9 +91,8 @@ def coerce_impute_request(request, model_id=None) -> ImputeRequest:
     the model was fitted on").
 
     ``model_id`` — wherever it appears — may be a
-    :class:`~repro.api.refs.ModelRef` or a legacy string; bare strings
-    still work but draw a :class:`DeprecationWarning` here, once, at the
-    public boundary (internal layers pass refs and stay silent).
+    :class:`~repro.api.refs.ModelRef` or a string, read by
+    :meth:`ModelRef.parse` (a bare id means ``@latest``).
     """
     if isinstance(request, ImputeRequest):
         if model_id is not None and \
@@ -102,13 +101,10 @@ def coerce_impute_request(request, model_id=None) -> ImputeRequest:
                 f"conflicting model ids: the ImputeRequest names "
                 f"{request.model_id!r} but model_id={model_id!r} was "
                 "also passed")
-        warn_bare_model_id(request.model_id,
-                           where="ImputeRequest.model_id")
         return request.validate()
     if model_id is None:
         raise ValidationError(
             "pass an ImputeRequest, or a tensor together with model_id=...")
-    warn_bare_model_id(model_id, where="model_id=")
     data = as_tensor(request) if request is not None else None
     return ImputeRequest(model_id=ModelRef.parse(model_id),
                          data=data).validate()

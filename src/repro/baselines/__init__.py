@@ -26,7 +26,6 @@ from repro.baselines.transformer import TransformerImputer
 from repro.baselines.registry import (
     ImputerRegistry,
     MethodInfo,
-    create_imputer,
     get_registry,
     list_method_infos,
     list_methods,
@@ -58,6 +57,5 @@ __all__ = [
     "MRNNImputer",
     "GPVAEImputer",
     "TransformerImputer",
-    "create_imputer",
     "list_methods",
 ]

@@ -22,15 +22,10 @@ Capability queries answer "what can serve this workload":
 ``list_method_infos(kind="deep")``, ``list_method_infos(tags=("ablation",))``
 or ``list_method_infos(supports_multidim=True)``.  Unknown names fail with a
 "did you mean" suggestion instead of a bare list dump.
-
-The legacy module functions ``create_imputer(name, ...)`` and
-``register_method(name, factory)`` remain as thin deprecation shims over the
-default registry.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -367,27 +362,3 @@ def list_methods(kind: Optional[str] = None,
     """All registered method names matching the capability filters."""
     return _REGISTRY.list_names(kind=kind, tags=tags,
                                 supports_multidim=supports_multidim)
-
-
-# ---------------------------------------------------------------------- #
-# deprecation shims (the pre-service-API surface)
-# ---------------------------------------------------------------------- #
-def register_method(name: str, factory: Callable[..., BaseImputer]) -> None:
-    """Deprecated: use the :func:`register_imputer` decorator instead."""
-    warnings.warn(
-        "register_method() is deprecated; use the @register_imputer(name, "
-        "kind=..., tags=...) decorator (repro.baselines.registry)",
-        DeprecationWarning, stacklevel=2)
-    _REGISTRY.register(MethodInfo(name=name, factory=factory),
-                       overwrite=True)
-
-
-def create_imputer(name: str, **kwargs) -> BaseImputer:
-    """Deprecated: use ``get_registry().create(name, ...)`` or
-    :func:`repro.api.make_imputer` instead."""
-    warnings.warn(
-        "create_imputer() is deprecated; use "
-        "repro.baselines.registry.get_registry().create(name, ...) or "
-        "repro.api.make_imputer(name, ...)",
-        DeprecationWarning, stacklevel=2)
-    return _REGISTRY.create(name, **kwargs)

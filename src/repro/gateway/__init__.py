@@ -13,9 +13,9 @@ many concurrent producers onto the fused serving hot path of
 * a **thread worker pool** fronting the model store's LRU cache
   (:class:`~repro.api.LRUModelCache`), so hot models never round-trip
   through disk;
-* **telemetry** (:mod:`repro.gateway.metrics`): QPS, queue depth,
-  p50/p95/p99 latency, fusion rate and cache hit rate via
-  :meth:`Gateway.stats`.
+* **telemetry** (:class:`repro.api.telemetry.ServingMetrics`, the
+  recorder the streaming tier shares): QPS, queue depth, p50/p95/p99
+  latency, fusion rate and cache hit rate via :meth:`Gateway.stats`.
 
 Benchmarked end to end by ``benchmarks/test_gateway_throughput.py`` and
 drivable from the command line with
@@ -23,7 +23,6 @@ drivable from the command line with
 """
 
 from repro.gateway.gateway import Gateway, GatewayConfig
-from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.queue import (
     GatewayFuture,
     LANES,
@@ -35,7 +34,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "GatewayFuture",
-    "GatewayMetrics",
     "LANES",
     "QueuedRequest",
     "RequestQueue",

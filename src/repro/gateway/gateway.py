@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.lockcheck import checked_lock
 from repro.api.requests import ImputeRequest, ImputeResult
-from repro.api.telemetry import MetricsSnapshot
+from repro.api.telemetry import MetricsSnapshot, ServingMetrics
 from repro.api.service import (
     ImputationService,
     ServingBatch,
@@ -70,7 +70,6 @@ from repro.exceptions import (
     ServiceError,
     ValidationError,
 )
-from repro.gateway.metrics import GatewayMetrics
 from repro.obs import trace as obs_trace
 from repro.gateway.queue import (
     GatewayFuture,
@@ -193,7 +192,7 @@ class Gateway:
         self.service = service or ImputationService(
             store_dir=store_dir,
             max_cached_models=self.config.max_cached_models)
-        self.metrics = GatewayMetrics()
+        self.metrics = ServingMetrics("gateway")
         self._queue = RequestQueue(
             max_depth=self.config.max_queue_depth,
             admission=self.config.admission,
@@ -380,7 +379,7 @@ class Gateway:
         return self._started
 
     def stats(self) -> MetricsSnapshot:
-        """Serving telemetry snapshot (see :mod:`repro.gateway.metrics`).
+        """Serving telemetry snapshot, rendered by :attr:`metrics`.
 
         Returns a typed :class:`~repro.api.telemetry.MetricsSnapshot` that
         still behaves exactly like the historical dict (same keys, full

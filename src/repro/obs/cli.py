@@ -27,6 +27,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.api.telemetry import percentile
 from repro.obs.trace import TRACE_FILENAME
 
 __all__ = ["build_tree", "format_tree", "load_spans", "main", "stage_table"]
@@ -126,11 +127,6 @@ def format_tree(roots: Sequence[Dict[str, object]]) -> str:
 
 def stage_table(spans: Sequence[Dict[str, object]]) -> str:
     """Per-stage latency breakdown: count / mean / p50 / p95 / max (ms)."""
-    # Deferred import: the gateway's hot path imports repro.obs.trace, so a
-    # module-level import here would close a cycle through this package's
-    # __init__ while repro.gateway is still initialising.
-    from repro.gateway.metrics import percentile
-
     by_stage: Dict[str, List[float]] = {}
     for span in spans:
         by_stage.setdefault(str(span["name"]), []).append(

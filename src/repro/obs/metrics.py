@@ -18,6 +18,7 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.lockcheck import checked_lock, guarded_by
+from repro.api.telemetry import COUNTER_KEYS
 
 __all__ = [
     "Counter",
@@ -204,24 +205,17 @@ def registry() -> MetricsRegistry:
     return _default
 
 
-#: snapshot keys exported as gauges (instantaneous or recomputed values,
-#: free to fall); every other numeric scalar is a cumulative counter
-_GAUGE_KEYS = frozenset({
-    "qps", "uptime_seconds", "in_flight", "queue_depth",
-    "latency_p50_seconds", "latency_p95_seconds", "latency_p99_seconds",
-    "fusion_rate", "fast_path_hit_rate", "mean_batch_size",
-})
-
-
 def feed_snapshot(snapshot: Mapping[str, object],
                   reg: Optional[MetricsRegistry] = None) -> None:
     """Mirror one :class:`MetricsSnapshot` into registry metrics.
 
-    Scalar keys become ``repro_<source>_<key>`` counters or gauges; the
-    per-lane and shard sub-dicts fan out with the lane/shard folded into
-    the metric name (stdlib-only rendering keeps label support minimal).
-    Cumulative keys use :meth:`Counter.set_to_at_least`, so feeding the
-    same snapshot twice is idempotent.
+    Scalar keys become ``repro_<source>_<key>`` series: the recorder's
+    cumulative counts (:data:`repro.api.telemetry.COUNTER_KEYS`) are
+    counters, every other number is a gauge.  The per-lane and shard
+    sub-dicts fan out as gauges with the lane/shard folded into the metric
+    name (stdlib-only rendering keeps label support minimal).  Counters
+    use :meth:`Counter.set_to_at_least`, so feeding the same snapshot
+    twice is idempotent.
     """
     reg = reg or _default
     # MetricsSnapshot's dict form deliberately omits "source" (legacy wire
@@ -241,7 +235,7 @@ def feed_snapshot(snapshot: Mapping[str, object],
                         gauge.set(float(sub_value))
             continue
         name = f"{source}_{key}"
-        if key in _GAUGE_KEYS:
-            reg.gauge(name).set(float(value))
-        else:
+        if key in COUNTER_KEYS:
             reg.counter(name).set_to_at_least(float(value))
+        else:
+            reg.gauge(name).set(float(value))

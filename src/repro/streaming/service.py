@@ -34,18 +34,14 @@ or, for finite replays, simply ``svc.run({"plant-a": stream_a, ...})``.
 
 from __future__ import annotations
 
-import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Optional, \
-    Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
-from repro.analysis.lockcheck import checked_lock, guarded_by
-from repro.api.refs import ModelRef, warn_bare_model_id
+from repro.api.refs import ModelRef
 from repro.api.requests import ImputeRequest, check_model_id
 from repro.api.service import ImputationService
-from repro.api.telemetry import MetricsSnapshot, rate
+from repro.api.telemetry import MetricsSnapshot, ServingMetrics
 from repro.baselines.registry import ImputerRegistry, get_registry
 from repro.data.tensor import TimeSeriesTensor
 from repro.exceptions import ServiceError, ValidationError
@@ -117,8 +113,6 @@ class StreamState:
         }
 
 
-@guarded_by("_telemetry_lock", "_completed", "_failed", "_fused_completed",
-            "_fast_path_completed", "_latencies")
 class StreamingService:
     """Serve per-window impute requests for many concurrent streams.
 
@@ -144,18 +138,9 @@ class StreamingService:
         self.default_refit_every = default_refit_every
         self.default_max_history = default_max_history
         self._streams: Dict[str, StreamState] = {}
-        # telemetry behind stats(): window outcomes across every stream.
-        # Guarded (lockcheck-instrumented, like GatewayMetrics) because a
-        # stats() poll may run concurrently with a step() when the service
-        # is driven next to a gateway worker pool.
-        self._telemetry_lock = checked_lock(
-            "StreamingService._telemetry_lock")
-        self._started_at = time.perf_counter()
-        self._completed = 0
-        self._failed = 0
-        self._fused_completed = 0
-        self._fast_path_completed = 0
-        self._latencies: Deque[float] = deque(maxlen=4096)
+        #: window outcomes across every stream, behind stats(); a stats()
+        #: poll may run concurrently with push() and step()
+        self.metrics = ServingMetrics("streaming")
 
     # -- stream lifecycle ----------------------------------------------- #
     def open_stream(self, stream_id: str, method: Optional[str] = None,
@@ -166,12 +151,13 @@ class StreamingService:
         """Register a stream; returns its (mutable) state record.
 
         ``warm_start`` names a model already in the wrapped service's
-        store — a :class:`~repro.api.refs.ModelRef` or a (deprecated)
-        legacy id string: the stream serves from it immediately instead of
-        fitting on its first window (combine with ``refit_every=0`` to
-        never refit).  A floating ref (``ModelRef.latest``/bare id) keeps
-        following the lineage's serving pointer, so a canary promotion
-        reroutes the stream's traffic to the new version.
+        store — a :class:`~repro.api.refs.ModelRef` or an id string
+        (:meth:`ModelRef.parse`): the stream serves from it immediately
+        instead of fitting on its first window (combine with
+        ``refit_every=0`` to never refit).  A floating ref
+        (``ModelRef.latest``/bare id) keeps following the lineage's
+        serving pointer, so a canary promotion reroutes the stream's
+        traffic to the new version.
         ``method`` defaults to the warm-start model's recorded method (so
         incremental refits keep training the same model family), or to
         ``"interpolation"`` for cold streams.  ``max_history=None`` keeps
@@ -191,9 +177,6 @@ class StreamingService:
             self._evict_owned_model(existing)
         warm_concrete = None
         if warm_start is not None:
-            warn_bare_model_id(warm_start,
-                               where="open_stream(warm_start=...)",
-                               stacklevel=3)
             warm_ref = ModelRef.parse(warm_start)
             warm_concrete = self.service.resolve_ref(warm_ref)
             if warm_concrete not in self.service.store:
@@ -233,9 +216,13 @@ class StreamingService:
         return state
 
     def close_stream(self, stream_id: str) -> StreamState:
-        """Mark a stream closed; its pending windows are discarded."""
+        """Mark a stream closed; its pending windows are discarded.
+
+        The discarded windows count as expired in :meth:`stats`.
+        """
         state = self._state(stream_id)
         state.closed = True
+        self.metrics.record_expired(len(state.pending))
         state.pending.clear()
         return state
 
@@ -256,46 +243,17 @@ class StreamingService:
         The same typed :class:`~repro.api.telemetry.MetricsSnapshot` the
         gateway and the cluster router return, so the canary controller
         (and dashboards) read one surface regardless of tier.  Counters
-        cover every stream: QPS is completed windows per second of uptime,
-        ``queue_depth`` is windows pushed but not yet stepped, percentiles
-        come from the per-window end-to-end latencies.  A cold service
-        snapshots as all zeros.
+        cover every stream: a pushed window is submitted on lane
+        ``"stream"``, then completes, fails or (discarded by
+        :meth:`close_stream`) expires; ``queue_depth`` is windows pushed
+        but not yet stepped, and percentiles come from the per-window
+        end-to-end latencies.  A cold service snapshots as all zeros.
         """
-        from repro.gateway.metrics import percentile
-
-        uptime = max(time.perf_counter() - self._started_at, 1e-9)
-        # One critical section copies every counter, so a concurrent step()
-        # can never produce a torn pair (e.g. a fusion rate above 1.0);
-        # percentiles and rates are computed outside the lock.
-        with self._telemetry_lock:
-            completed = self._completed
-            failed = self._failed
-            fused_completed = self._fused_completed
-            fast_path_completed = self._fast_path_completed
-            latencies = list(self._latencies)
-        pending = sum(len(state.pending) for state in self._streams.values()
-                      if not state.closed)
-        refits = sum(state.refits for state in self._streams.values())
-        return MetricsSnapshot(
-            source="streaming",
-            uptime_seconds=uptime,
-            submitted=completed + failed + pending,
-            completed=completed,
-            failed=failed,
-            in_flight=pending,
-            qps=rate(completed, uptime),
-            latency_p50_seconds=percentile(latencies, 50.0),
-            latency_p95_seconds=percentile(latencies, 95.0),
-            latency_p99_seconds=percentile(latencies, 99.0),
-            fusion_rate=rate(fused_completed, completed),
-            fast_path_hit_rate=rate(fast_path_completed, completed),
-            queue_depth=pending,
-            extras={
-                "streams": len([s for s in self._streams.values()
-                                if not s.closed]),
-                "refits": refits,
-            },
-        )
+        states = list(self._streams.values())
+        return self.metrics.snapshot(
+            queue_depth=sum(len(state.pending) for state in states),
+            extras={"streams": sum(not state.closed for state in states),
+                    "refits": sum(state.refits for state in states)})
 
     # -- serving -------------------------------------------------------- #
     def push(self, stream_id: str, window: StreamWindow) -> None:
@@ -303,6 +261,9 @@ class StreamingService:
         state = self._state(stream_id)
         if state.closed:
             raise ServiceError(f"stream {stream_id!r} is closed")
+        # Counted before step() can see it, so completions never outrun
+        # submissions in a concurrent stats() poll.
+        self.metrics.record_submit("stream")
         state.pending.append(window)
 
     def step(self, max_windows: int = 1,
@@ -389,12 +350,10 @@ class StreamingService:
                         result.refit = True
                         result.refit_seconds = self._refit(state, retired)
                     request_id = f"{state.stream_id}.w{window.index:06d}"
-                    # A floating ref, not the bare string: versioned
-                    # lineages re-resolve ``@latest`` per step (canary
-                    # promotions reroute the stream), unversioned models
-                    # resolve to themselves bit-identically — and internal
-                    # traffic never draws the bare-string deprecation
-                    # warning.
+                    # A floating ref: versioned lineages re-resolve
+                    # ``@latest`` per step (canary promotions reroute the
+                    # stream), unversioned models resolve to themselves
+                    # bit-identically.
                     request = ImputeRequest(
                         model_id=ModelRef.latest(state.model_id),
                         data=window.tensor,
@@ -409,8 +368,7 @@ class StreamingService:
 
                     result.error = traceback.format_exc()
                     state.errors[window.index] = result.error
-                    with self._telemetry_lock:
-                        self._failed += 1
+                    self.metrics.record_failed()
                     continue
                 requests[request_id] = result
 
@@ -434,22 +392,16 @@ class StreamingService:
             result.latency_seconds = impute_result.latency_seconds
             state = self._streams[result.stream_id]
             state.windows_served += 1
-            with self._telemetry_lock:
-                self._completed += 1
-                self._latencies.append(
-                    float(impute_result.latency_seconds))
-                if impute_result.fused:
-                    self._fused_completed += 1
-                if impute_result.fast_path:
-                    self._fast_path_completed += 1
+            self.metrics.record_completion(impute_result.latency_seconds,
+                                           fused=impute_result.fused,
+                                           fast_path=impute_result.fast_path)
         for request_id, error in errors.items():
             result = requests.get(request_id)
             if result is None:
                 continue
             result.error = error
             self._streams[result.stream_id].errors[result.window_index] = error
-            with self._telemetry_lock:
-                self._failed += 1
+            self.metrics.record_failed()
         # A refit mid-step supersedes the stream's previous model; it is
         # dropped only now, after the sweep, because windows accepted before
         # the refit were still queued against it.

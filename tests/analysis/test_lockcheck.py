@@ -163,13 +163,13 @@ class TestGuardedBy:
 
     def test_production_classes_register_their_guards(self):
         from repro.api.model_cache import LRUModelCache
+        from repro.api.telemetry import ServingMetrics
         from repro.api.versioning import VersionRegistry
-        from repro.gateway.metrics import GatewayMetrics
         from repro.gateway.queue import RequestQueue
 
         assert "_entries" in LRUModelCache.__guarded_attrs__
         assert "_lineages" in VersionRegistry.__guarded_attrs__
-        assert "completed" in GatewayMetrics.__guarded_attrs__
+        assert "completed" in ServingMetrics.__guarded_attrs__
         assert "_lanes" in RequestQueue.__guarded_attrs__
 
 

@@ -1,8 +1,12 @@
-"""Unit tests of the gateway telemetry accumulator."""
+"""Unit tests of the serving telemetry recorder."""
 
+import numpy as np
 import pytest
 
-from repro.gateway.metrics import GatewayMetrics, percentile
+from repro.api.telemetry import LATENCY_RESERVOIR, ServingMetrics, percentile
+from repro.data.dimensions import Dimension
+from repro.data.tensor import TimeSeriesTensor
+from repro.streaming import StreamingService, WindowedStream
 
 
 class TestPercentile:
@@ -20,9 +24,9 @@ class TestPercentile:
         assert percentile([5.0, 1.0, 3.0], 50) == 3.0
 
 
-class TestGatewayMetrics:
+class TestServingMetrics:
     def test_counters_roll_up(self):
-        metrics = GatewayMetrics()
+        metrics = ServingMetrics("gateway")
         metrics.record_submit("interactive")
         metrics.record_submit("interactive")
         metrics.record_submit("batch")
@@ -43,7 +47,7 @@ class TestGatewayMetrics:
         assert snapshot["queue_depth"] == 1
 
     def test_latency_percentiles_ordered(self):
-        metrics = GatewayMetrics()
+        metrics = ServingMetrics("gateway")
         for value in (0.001, 0.002, 0.005, 0.010, 0.100):
             metrics.record_completion(value)
         snapshot = metrics.snapshot()
@@ -53,37 +57,54 @@ class TestGatewayMetrics:
         assert snapshot["latency_p99_seconds"] <= 0.100
 
     def test_qps_counts_recent_completions(self):
-        metrics = GatewayMetrics(qps_window_seconds=60.0)
+        metrics = ServingMetrics("gateway")
         for _ in range(30):
             metrics.record_completion(0.001)
         assert metrics.snapshot()["qps"] > 0
 
     def test_reservoir_is_bounded(self):
-        metrics = GatewayMetrics(latency_reservoir=16)
-        for index in range(100):
+        metrics = ServingMetrics("gateway")
+        for index in range(LATENCY_RESERVOIR + 100):
             metrics.record_completion(float(index))
-        # Only the 16 most recent latencies survive: p50 of 84..99.
-        assert metrics.snapshot()["latency_p50_seconds"] >= 84.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GatewayMetrics(latency_reservoir=0)
-        with pytest.raises(ValueError):
-            GatewayMetrics(qps_window_seconds=0)
+        # Only the most recent latencies survive: p50 of 100..4195.
+        assert metrics.snapshot()["latency_p50_seconds"] == \
+            pytest.approx(100 + (LATENCY_RESERVOIR - 1) / 2)
 
     def test_cache_stats_passthrough(self):
-        snapshot = GatewayMetrics().snapshot(
+        snapshot = ServingMetrics("gateway").snapshot(
             model_cache={"hits": 3, "hit_rate": 1.0},
             lane_depths={"interactive": 2, "batch": 0})
         assert snapshot["model_cache"]["hits"] == 3
         assert snapshot["queue_depth_by_lane"]["interactive"] == 2
 
     def test_shards_rollup_passthrough(self):
-        snapshot = GatewayMetrics().snapshot(
+        snapshot = ServingMetrics("gateway").snapshot(
             shards={"shard-0": {"alive": True, "results": 7}})
         assert snapshot["shards"]["shard-0"]["results"] == 7
         # Absent unless a cluster-backed gateway provides them.
-        assert "shards" not in GatewayMetrics().snapshot()
+        assert "shards" not in ServingMetrics("gateway").snapshot()
+
+    def test_streaming_close_accounts_for_every_window(self):
+        values = np.arange(2 * 40, dtype=float).reshape(2, 40)
+        mask = np.ones_like(values)
+        mask[0, 3:5] = 0
+        tensor = TimeSeriesTensor(
+            values=values, dimensions=[Dimension.categorical("s", 2)],
+            mask=mask)
+        svc = StreamingService()
+        svc.open_stream("s", method="mean")
+        for window in WindowedStream.from_tensor(tensor, window_size=8,
+                                                 stride=8):
+            svc.push("s", window)
+        svc.step()
+        svc.close_stream("s")       # discards the 4 windows still pending
+        snapshot = svc.stats()
+        assert snapshot["submitted_by_lane"] == {"stream": 5}
+        assert (snapshot["completed"], snapshot["expired"]) == (1, 4)
+        assert snapshot["completed"] + snapshot["failed"] + \
+            snapshot["expired"] == snapshot["submitted"]
+        assert snapshot["in_flight"] == 0
+        assert snapshot["queue_depth"] == 0
 
 
 class TestSnapshotConsistency:
@@ -98,7 +119,7 @@ class TestSnapshotConsistency:
         """
         import threading
 
-        metrics = GatewayMetrics()
+        metrics = ServingMetrics("gateway")
         stop = threading.Event()
         torn = []
 

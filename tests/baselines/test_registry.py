@@ -6,12 +6,10 @@ from repro.baselines.registry import (
     DEEPMVI_VARIANTS,
     ImputerRegistry,
     MethodInfo,
-    create_imputer,
     get_registry,
     list_methods,
     method_info,
     register_imputer,
-    register_method,
 )
 from repro.baselines.simple import MeanImputer
 from repro.exceptions import ConfigError
@@ -126,34 +124,6 @@ class TestFuzzyErrors:
     def test_far_off_name_lists_available(self):
         with pytest.raises(ConfigError, match="available"):
             get_registry().create("zzzzzzzz")
-
-
-class TestDeprecationShims:
-    def test_create_imputer_warns_but_resolves(self):
-        with pytest.warns(DeprecationWarning, match="create_imputer"):
-            imputer = create_imputer("mean")
-        assert isinstance(imputer, MeanImputer)
-
-    def test_register_method_warns_but_resolves(self):
-        class Custom(MeanImputer):
-            name = "Custom"
-
-        with pytest.warns(DeprecationWarning, match="register_imputer"):
-            register_method("test-custom-shim", Custom)
-        assert isinstance(get_registry().create("test-custom-shim"), Custom)
-
-    def test_register_method_overwrites_like_before(self):
-        # The legacy function silently replaced entries; the shim keeps that.
-        class A(MeanImputer):
-            pass
-
-        class B(MeanImputer):
-            pass
-
-        with pytest.warns(DeprecationWarning):
-            register_method("test-overwrite-shim", A)
-            register_method("test-overwrite-shim", B)
-        assert isinstance(get_registry().create("test-overwrite-shim"), B)
 
 
 class TestDeepMVIVariants:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api.telemetry import MetricsSnapshot
+from repro.data.dimensions import Dimension
+from repro.data.tensor import TimeSeriesTensor
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -12,6 +15,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     feed_snapshot,
 )
+from repro.streaming import StreamingService, WindowedStream
 
 
 class TestPrimitives:
@@ -129,7 +133,34 @@ class TestFeedSnapshot:
     def test_plain_dicts_are_accepted(self):
         registry = MetricsRegistry()
         feed_snapshot({"source": "streaming", "windows": 9}, reg=registry)
-        assert registry.counter("streaming_windows").value == 9
+        # not one of the recorder's cumulative counts: a gauge
+        assert registry.gauge("streaming_windows").value == 9
+
+    def test_values_that_fall_are_gauges(self):
+        # Two streams open, then both close: the open-stream count falls
+        # to zero, which a counter could never show.
+        values = np.arange(2 * 16, dtype=float).reshape(2, 16)
+        tensor = TimeSeriesTensor(
+            values=values, dimensions=[Dimension.categorical("s", 2)])
+        svc = StreamingService()
+        for stream_id in ("a", "b"):
+            svc.open_stream(stream_id, method="mean")
+            for window in WindowedStream.from_tensor(tensor, window_size=8,
+                                                     stride=8):
+                svc.push(stream_id, window)
+        registry = MetricsRegistry()
+        feed_snapshot(svc.stats(), reg=registry)
+        assert "repro_streaming_streams 2" in registry.render()
+        svc.close_stream("a")
+        svc.close_stream("b")
+        feed_snapshot(svc.stats(), reg=registry)
+        text = registry.render()
+        assert "repro_streaming_streams 0" in text
+        assert "# TYPE repro_streaming_streams gauge" in text
+        assert "repro_streaming_in_flight 0" in text
+        # the recorder's cumulative counts stay counters
+        assert "# TYPE repro_streaming_expired counter" in text
+        assert "repro_streaming_expired 4" in text
 
     def test_bools_are_not_series(self):
         registry = MetricsRegistry()

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.api import ImputationService, MetricsSnapshot
-from repro.api.telemetry import rate
+from repro.api.telemetry import ServingMetrics, rate
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
 from repro.gateway import Gateway
-from repro.gateway.metrics import GatewayMetrics
 from repro.streaming import StreamingService, WindowedStream
 
 
@@ -72,7 +71,7 @@ def tiny_tensor():
 
 class TestColdSnapshots:
     def test_gateway_metrics_cold_snapshot_is_all_zeros(self):
-        snap = GatewayMetrics().snapshot()
+        snap = ServingMetrics("gateway").snapshot()
         assert isinstance(snap, MetricsSnapshot)
         assert snap["qps"] == 0.0
         assert snap["fusion_rate"] == 0.0
@@ -100,7 +99,7 @@ class TestObsWireCompat:
     """The new obs-era fields must never disturb the legacy wire shape."""
 
     def test_legacy_key_order_is_preserved_with_obs_extras(self):
-        snap = GatewayMetrics().snapshot()
+        snap = ServingMetrics("gateway").snapshot()
         keys = list(snap.to_dict())
         # the historical core keys come first, in emission order; extras
         # (fast_lane_fallbacks and friends) strictly after them
@@ -110,15 +109,15 @@ class TestObsWireCompat:
             len(MetricsSnapshot._CORE_KEYS)
 
     def test_to_dict_round_trips_through_json(self):
-        snap = GatewayMetrics().snapshot()
+        snap = ServingMetrics("gateway").snapshot()
         assert json.loads(snap.to_json()) == snap.to_dict()
 
     def test_cold_snapshot_obs_counters_are_zero(self):
-        snap = GatewayMetrics().snapshot()
+        snap = ServingMetrics("gateway").snapshot()
         assert snap["fast_lane_fallbacks"] == 0
 
     def test_fallback_counter_rides_in_extras(self):
-        metrics = GatewayMetrics()
+        metrics = ServingMetrics("gateway")
         metrics.record_fast_lane_fallback()
         metrics.record_fast_lane_fallback()
         snap = metrics.snapshot()
@@ -145,7 +144,7 @@ class TestLiveSnapshots:
 
     def test_all_three_tiers_share_the_core_keys(self):
         streaming = StreamingService().stats()
-        gateway = GatewayMetrics().snapshot()
+        gateway = ServingMetrics("gateway").snapshot()
         for key in MetricsSnapshot._CORE_KEYS:
             assert key in streaming
             assert key in gateway

@@ -1,4 +1,4 @@
-"""ModelRef parsing/rendering and the bare-string deprecation shims."""
+"""ModelRef parsing/rendering, and bare-string ids at every façade."""
 
 import warnings
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.api import ImputationService, ImputeRequest, ModelRef
-from repro.api.refs import LATEST, warn_bare_model_id
+from repro.api.refs import LATEST
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
 from repro.exceptions import ValidationError
+from repro.gateway import Gateway
+from repro.streaming import StreamingService, StreamWindow
 
 
 def small_tensor(seed=0):
@@ -68,58 +70,6 @@ class TestModelRefParsing:
         with pytest.raises(AttributeError):
             ModelRef("m", 1).version = 2
 
-
-class TestDeprecationShims:
-    def test_warn_bare_model_id_only_fires_on_strings(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            warn_bare_model_id("m", where="test", stacklevel=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warn_bare_model_id(ModelRef.latest("m"), where="test",
-                               stacklevel=1)
-
-    def test_service_string_model_id_warns_but_works(self):
-        service = ImputationService()
-        tensor = small_tensor()
-        model_id = service.fit(tensor, method="mean", model_id="legacy")
-        with pytest.warns(DeprecationWarning):
-            result = service.impute(tensor, model_id=model_id)
-        assert result.completed.missing_fraction == 0.0
-
-    def test_string_request_model_id_warns_but_works(self):
-        service = ImputationService()
-        tensor = small_tensor()
-        service.fit(tensor, method="mean", model_id="legacy")
-        with pytest.warns(DeprecationWarning):
-            result = service.impute(ImputeRequest(model_id="legacy",
-                                                  data=tensor))
-        assert result.completed.missing_fraction == 0.0
-
-    def test_model_ref_requests_are_warning_free(self):
-        service = ImputationService()
-        tensor = small_tensor()
-        service.fit(tensor, method="mean", model_id="typed")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = service.impute(
-                ImputeRequest(model_id=ModelRef.latest("typed"), data=tensor))
-        assert result.completed.missing_fraction == 0.0
-
-    def test_submit_gather_accepts_both_spellings(self):
-        service = ImputationService()
-        tensor = small_tensor()
-        service.fit(tensor, method="mean", model_id="m")
-        with pytest.warns(DeprecationWarning):
-            service.submit(tensor, model_id="m")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service.submit(ImputeRequest(model_id=ModelRef.latest("m"),
-                                         data=tensor))
-        results = service.gather()
-        assert len(results) == 2
-        # The wire form of an @latest ref is the bare legacy string.
-        assert all(r.model_id == "m" for r in results)
-
     def test_request_to_dict_round_trips_refs(self):
         tensor = small_tensor()
         latest = ImputeRequest(model_id=ModelRef.latest("m"), data=tensor)
@@ -131,3 +81,89 @@ class TestDeprecationShims:
         tensor = small_tensor()
         request = ImputeRequest(model_id="m@2", data=tensor)
         assert request.model_ref == ModelRef("m", 2)
+
+
+class TestDeprecationShims:
+    """The ``ImputationService.impute`` spellings the bare-id deprecation
+    warning once covered. The warning is removed, so each spelling is now
+    served with warnings turned into errors."""
+
+    def test_service_string_model_id_warns_but_works(self):
+        service = ImputationService()
+        tensor = small_tensor()
+        model_id = service.fit(tensor, method="mean", model_id="legacy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = service.impute(tensor, model_id=model_id)
+        assert result.completed.missing_fraction == 0.0
+
+    def test_string_request_model_id_warns_but_works(self):
+        service = ImputationService()
+        tensor = small_tensor()
+        service.fit(tensor, method="mean", model_id="legacy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = service.impute(ImputeRequest(model_id="legacy",
+                                                  data=tensor))
+        assert result.completed.missing_fraction == 0.0
+
+    def test_model_ref_requests_are_warning_free(self):
+        service = ImputationService()
+        tensor = small_tensor()
+        service.fit(tensor, method="mean", model_id="typed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = service.impute(
+                ImputeRequest(model_id=ModelRef.latest("typed"), data=tensor))
+        assert result.completed.missing_fraction == 0.0
+
+
+def _serve_impute(service, tensor):
+    return [service.impute(tensor, model_id="m"),
+            service.impute(ImputeRequest(model_id="m", data=tensor)),
+            service.impute(ImputeRequest(model_id=ModelRef.latest("m"),
+                                         data=tensor))]
+
+
+def _serve_submit(service, tensor):
+    service.submit(tensor, model_id="m")
+    service.submit(ImputeRequest(model_id="m", data=tensor))
+    service.submit(ImputeRequest(model_id=ModelRef.latest("m"),
+                                 data=tensor))
+    results = service.gather()
+    # One sweep serves every spelling; an @latest ref's wire form is the
+    # bare id.
+    assert [result.model_id for result in results] == ["m"] * 3
+    return results
+
+
+def _serve_gateway(service, tensor):
+    with Gateway(service) as gateway:
+        futures = [gateway.submit(tensor, model_id="m"),
+                   gateway.submit(ImputeRequest(model_id="m", data=tensor))]
+        return [future.result(timeout=30) for future in futures]
+
+
+def _serve_open_stream(service, tensor):
+    streaming = StreamingService(service=service)
+    streaming.open_stream("s", warm_start="m", refit_every=0)
+    streaming.push("s", StreamWindow(index=0, start=0,
+                                     stop=tensor.n_time, tensor=tensor))
+    return streaming.step()
+
+
+@pytest.mark.parametrize("serve", [_serve_impute, _serve_submit,
+                                   _serve_gateway, _serve_open_stream],
+                         ids=["impute", "submit", "gateway", "open_stream"])
+def test_bare_string_model_ids_are_served(serve):
+    """ModelRef.parse is the one rule: a bare id means ``@latest``, and no
+    façade warns about it (any warning fails the test)."""
+    service = ImputationService()
+    tensor = small_tensor()
+    service.fit(tensor, method="mean", model_id="m")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = serve(service, tensor)
+    assert results
+    for result in results:
+        assert result.completed.missing_fraction == 0.0

@@ -1,11 +1,11 @@
 """Streaming-tier soak: stats() polled while step() serves windows.
 
-The StreamingService telemetry counters are written by the stepping
-thread and read by monitoring pollers (``stats()`` feeds dashboards and
-the online loop's snapshot).  This soak drives both sides concurrently;
-under ``REPRO_LOCKCHECK=1`` (the CI arming) the ``@guarded_by``
-descriptors additionally fail the test on any counter touched outside
-``_telemetry_lock``.
+The StreamingService telemetry counters live in its ``ServingMetrics``
+recorder: the stepping thread writes them and monitoring pollers read
+them (``stats()`` feeds dashboards and the online loop's snapshot).  This
+soak drives both sides concurrently; under ``REPRO_LOCKCHECK=1`` (the CI
+arming) the recorder's ``@guarded_by`` descriptors additionally fail the
+test on any counter touched outside its lock.
 """
 
 import threading
