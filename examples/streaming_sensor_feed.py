@@ -6,8 +6,8 @@ correlated bursts, and a battery-saving station duty-cycles its radio.  The
 example replays both feeds through :class:`repro.streaming.StreamingService`
 — sliding windows, incremental refits on a bounded history, micro-batched
 serving across the two streams — and reports per-window MAE, latency and
-end-to-end throughput.  It closes with the warm-start path: the model fitted
-during the replay keeps serving brand-new windows with zero refits.
+end-to-end throughput.  It closes with the warm-start path: a model fitted
+during the replay serves a brand-new stream with zero refits.
 
 Run with::
 
@@ -20,12 +20,7 @@ import numpy as np
 
 from repro import MissingScenario, load_dataset, mae
 from repro.data.missing import apply_scenario
-from repro.streaming import (
-    StreamingService,
-    WindowedStream,
-    WindowedStreamingImputer,
-    replay,
-)
+from repro.streaming import StreamingService, WindowedStream, replay
 
 
 def spark(values, width=48):
@@ -76,6 +71,7 @@ def main() -> None:
               f"{int(missing_mask.sum())} cells")
 
     served = service.run(streams)
+    fitted_models = {}
     print(f"\n{'stream':<11} {'windows':>7} {'refits':>6} {'failures':>8} "
           f"{'mean MAE':>9}")
     for stream_id in sorted(served):
@@ -88,6 +84,7 @@ def main() -> None:
                                   truth.slice_time(result.start, result.stop),
                                   mask_slice))
         state = service.close_stream(stream_id)
+        fitted_models[stream_id] = state.model_id
         mean_mae = float(np.mean(scores)) if scores else float("nan")
         print(f"{stream_id:<11} {len(rows):>7} {state.refits:>6} "
               f"{len(state.errors):>8} {mean_mae:>9.3f}")
@@ -101,20 +98,20 @@ def main() -> None:
     print("per-window MAE:", spark([row.mae for row in report.rows]))
 
     # ------------------------------------------------------------------ #
-    # 3. warm start: serve new windows from an already-fitted model
+    # 3. warm start: serve a new stream from the model part 1 fitted
     # ------------------------------------------------------------------ #
     incomplete, _ = apply_scenario(
         truth, MissingScenario("periodic_outage", {"period": 12}), seed=11)
-    warm = WindowedStreamingImputer(method="mean", refit_every=0)
-    completed_windows = 0
-    for stream_window in WindowedStream.from_tensor(incomplete,
-                                                    window_size=window):
-        warm.update(stream_window)
-        completed = warm.impute_window(stream_window)
-        assert completed.missing_fraction == 0.0
-        completed_windows += 1
-    print(f"\nwarm-start serving: {completed_windows} windows completed "
-          f"with {warm.refits} fit(s) (refit_every=0 keeps the first model)")
+    service.open_stream("relaunch", warm_start=fitted_models["dutycycle"],
+                        refit_every=0)
+    warm = service.run({"relaunch": WindowedStream.from_tensor(
+        incomplete, window_size=window)})["relaunch"]
+    assert all(result.ok and result.completed.missing_fraction == 0.0
+               for result in warm)
+    state = service.close_stream("relaunch")
+    print(f"\nwarm-start serving: {len(warm)} windows completed from "
+          f"{fitted_models['dutycycle']} with {state.refits} refit(s) "
+          "(refit_every=0 keeps the warm-start model)")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,28 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` library (``src/repro``).
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so that fully offline environments (no ``wheel`` package available
-for PEP 660 editable installs) can still do ``python setup.py develop`` or
-legacy ``pip install -e .`` installs.
+``pip install .`` (or ``pip install -e .``, or ``python setup.py develop``
+where no ``wheel`` package is available) installs the package with numpy as
+its only runtime dependency.  The version is read as text from
+``src/repro/__init__.py``: an isolated build has no numpy, so importing the
+package to ask it would fail.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(),
+                    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Reproduction of DeepMVI: missing value imputation on "
+                "multidimensional time series",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+)

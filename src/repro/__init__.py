@@ -25,10 +25,10 @@ organised as:
     one-liner, and the capability-aware method registry.
 ``repro.streaming``
     Windowed incremental serving for live feeds: sliding
-    :class:`~repro.streaming.WindowedStream` chunks, incremental
-    :class:`~repro.streaming.WindowedStreamingImputer` refits on bounded
-    history, the multi-stream :class:`~repro.streaming.StreamingService`,
-    and the :func:`~repro.streaming.replay` scoring harness.
+    :class:`~repro.streaming.WindowedStream` chunks, the multi-stream
+    :class:`~repro.streaming.StreamingService` (warm-started or refitted
+    on a bounded history every K windows), and the
+    :func:`~repro.streaming.replay` scoring harness.
 ``repro.gateway``
     The concurrent serving gateway: a bounded two-lane request queue with
     admission control and deadlines, an adaptive micro-batcher fusing

@@ -485,8 +485,9 @@ def _rule_rl007(tree: ast.AST, path: str) -> Iterable[Finding]:
                     "ModelRef ('model_id@version', bare string = @latest)",
                     hint="annotate the parameter to accept "
                          "repro.api.refs.ModelRef (coerce with "
-                         "ModelRef.coerce); raw str ids are store-level "
-                         "only")
+                         "ModelRef.parse); raw str ids are store-level "
+                         "only: mark a store-level def with "
+                         "'# repro-lint: allow[model-ref]'")
 
 
 def _rule_rl008(tree: ast.AST, path: str) -> Iterable[Finding]:

@@ -35,6 +35,7 @@ LATEST = "latest"
 _MODEL_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
+# repro-lint: allow[model-ref]
 def check_model_id(model_id: str, label: str = "model_id") -> str:
     """Reject ids that could traverse outside the model store directory."""
     if not isinstance(model_id, str) or \
@@ -68,6 +69,7 @@ class ModelRef:
 
     # -- construction ---------------------------------------------------- #
     @classmethod
+    # repro-lint: allow[model-ref]
     def latest(cls, model_id: str) -> "ModelRef":
         """The floating ref for a lineage (``model_id@latest``)."""
         return cls(model_id, LATEST)

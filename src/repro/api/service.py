@@ -13,8 +13,9 @@ behind a serving-oriented API on top of the experiment engine:
 * :meth:`~ImputationService.submit` / :meth:`~ImputationService.gather`
   queue many requests and run them **micro-batched**: requests against the
   same model are grouped into one serving batch that fetches the model
-  once, and the batches run in process through the engine's serial
-  executor.  Multi-process serving is :mod:`repro.cluster`'s job.
+  once, and the batches run in process, one
+  :func:`execute_serving_batch` call each.  Multi-process serving is
+  :mod:`repro.cluster`'s job.
 
 The one-liner for scripts and notebooks::
 
@@ -47,7 +48,6 @@ from repro.baselines.registry import ImputerRegistry, get_registry
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
 from repro.engine.artifacts import MANIFEST_FILENAME, load_imputer, save_imputer
-from repro.engine.executor import ExecutionReport, SerialExecutor
 from repro.engine.jobs import JobResult
 from repro.exceptions import ServiceError, ValidationError
 from repro.obs import trace as obs_trace
@@ -135,10 +135,12 @@ class DirectoryBackend:
 
         self.directory = Path(directory)
 
+    # repro-lint: allow[model-ref]
     def location(self, model_id: str) -> Optional[str]:
         """Filesystem artifact path (``None`` for path-less backends)."""
         return str(self.directory / model_id)
 
+    # repro-lint: allow[model-ref]
     def save(self, model_id: str, imputer: BaseImputer,
              method: Optional[str] = None) -> None:
         target = self.directory / model_id
@@ -149,15 +151,18 @@ class DirectoryBackend:
             (target / self.META_FILENAME).write_text(
                 json.dumps({"method": method}), encoding="utf-8")
 
+    # repro-lint: allow[model-ref]
     def load(self, model_id: str) -> Optional[BaseImputer]:
         artifact = self.directory / model_id
         if (artifact / MANIFEST_FILENAME).exists():
             return load_imputer(artifact)
         return None
 
+    # repro-lint: allow[model-ref]
     def exists(self, model_id: str) -> bool:
         return (self.directory / model_id / MANIFEST_FILENAME).exists()
 
+    # repro-lint: allow[model-ref]
     def delete(self, model_id: str) -> None:
         target = self.directory / model_id
         if (target / MANIFEST_FILENAME).exists():
@@ -171,6 +176,7 @@ class DirectoryBackend:
         return sorted(entry.name for entry in self.directory.iterdir()
                       if (entry / MANIFEST_FILENAME).exists())
 
+    # repro-lint: allow[model-ref]
     def method_for(self, model_id: str) -> Optional[str]:
         meta = self.directory / model_id / self.META_FILENAME
         if meta.exists():
@@ -226,6 +232,7 @@ class ModelStore:
         self._method_names: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
+    # repro-lint: allow[model-ref]
     def path(self, model_id: str) -> Optional[str]:
         """On-disk artifact directory for ``model_id`` (``None`` if memory-only)."""
         if self.backend is None:
@@ -240,6 +247,7 @@ class ModelStore:
         probe = getattr(imputer, "memory_nbytes", None)
         return int(probe()) if callable(probe) else None
 
+    # repro-lint: allow[model-ref]
     def put(self, model_id: str, imputer: BaseImputer,
             method: Optional[str] = None) -> str:
         check_model_id(model_id)
@@ -251,6 +259,7 @@ class ModelStore:
             self.backend.save(model_id, imputer, method=method)
         return model_id
 
+    # repro-lint: allow[model-ref]
     def method_for(self, model_id: str) -> Optional[str]:
         """Registry method name the model was fitted with, if recorded.
 
@@ -267,6 +276,7 @@ class ModelStore:
                 return method
         return None
 
+    # repro-lint: allow[model-ref]
     def get(self, model_id: str) -> BaseImputer:
         """The stored imputer; loads lazily from the backend on a miss."""
         check_model_id(model_id)
@@ -283,6 +293,7 @@ class ModelStore:
             f"unknown model id {model_id!r}; known: "
             + (", ".join(sorted(self.list_models())) or "<none>"))
 
+    # repro-lint: allow[model-ref]
     def peek(self, model_id: str) -> Optional[BaseImputer]:
         """The warm in-memory imputer, or None — never touches the disk.
 
@@ -322,6 +333,7 @@ class ModelStore:
             return self.backend.exists(model_id)
         return False
 
+    # repro-lint: allow[model-ref]
     def discard(self, model_id: str) -> None:
         """Forget a stored model: the memory entry and the persisted artifact.
 
@@ -343,11 +355,11 @@ class ModelStore:
 
 
 # ---------------------------------------------------------------------- #
-# serving batches (run through the engine's serial executor)
+# serving batches
 # ---------------------------------------------------------------------- #
 @dataclass
 class ServingBatch:
-    """All queued requests against one fitted model, executed as one job.
+    """All queued requests against one fitted model, served as one batch.
 
     The model rides along as a live ``imputer``, fitted exactly once, at
     :meth:`ImputationService.fit` time.
@@ -363,10 +375,6 @@ class ServingBatch:
     def key(self) -> str:
         ids = ",".join(str(r.request_id) for r in self.requests)
         return f"serve:{self.model_id}:{ids}"
-
-    def needs_execution(self) -> bool:
-        # Serving results are never cache-served: requests are one-shot.
-        return True
 
 
 def _latency(request: ImputeRequest, end: float, compute: float) -> float:
@@ -397,13 +405,14 @@ def _fast_path_flags(imputer: BaseImputer, count: int) -> List[bool]:
     return [False] * count
 
 
-def execute_serving_batch(batch: ServingBatch,
-                          key: Optional[str] = None) -> JobResult:
+def execute_serving_batch(batch: ServingBatch) -> JobResult:
     """Run one micro-batch: impute every request with the batch's model.
 
     Shared by :meth:`ImputationService.gather`, the gateway's locked lane
-    and the cluster shards.  The returned :class:`JobResult` carries
-    ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``.
+    and the cluster shards.  The returned :class:`JobResult` is always ok
+    and carries
+    ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``:
+    a request that fails is recorded there, never raised.
 
     The batch is first served **fused**: one ``impute_many`` call completes
     every request through shared forward passes (the whole point of
@@ -415,7 +424,7 @@ def execute_serving_batch(batch: ServingBatch,
     """
     import traceback
 
-    key = batch.key() if key is None else key
+    key = batch.key()
     imputer = batch.imputer
     method = batch.method or getattr(imputer, "name", type(imputer).__name__)
 
@@ -518,7 +527,7 @@ def execute_serving_batch(batch: ServingBatch,
 # the service
 # ---------------------------------------------------------------------- #
 class ImputationService:
-    """Serving façade over the registry, model store and engine executor.
+    """Serving façade over the registry and the model store.
 
     Parameters
     ----------
@@ -556,8 +565,6 @@ class ImputationService:
         #: training wall-clock per model id (serving results only carry the
         #: per-request impute time)
         self.fit_seconds: Dict[str, float] = {}
-        #: summary of the most recent :meth:`gather` sweep
-        self.last_report: Optional[ExecutionReport] = None
         #: request id → traceback for requests that failed in that sweep
         self.last_errors: Dict[str, str] = {}
 
@@ -726,8 +733,8 @@ class ImputationService:
 
         Requests against the same model id are grouped into one
         :class:`ServingBatch` (the model is fetched once per batch, never
-        refitted) and the batches run in process through the engine's
-        serial executor.  Results come back in submit order.
+        refitted) and each batch runs in process through
+        :func:`execute_serving_batch`.  Results come back in submit order.
 
         Failures are isolated per *request*: a bad tensor neither aborts its
         batch siblings nor other models' batches.  With ``raise_on_error``
@@ -751,22 +758,14 @@ class ImputationService:
                 batches[request.model_id] = batch
             batch.requests.append(request)
 
-        executor = SerialExecutor()
-        job_results = executor.run(list(batches.values()),
-                                   run_fn=execute_serving_batch)
-        self.last_report = executor.last_report
         by_id: Dict[str, ImputeResult] = {}
         self.last_errors = {}
-        for batch, job in zip(batches.values(), job_results):
-            if job.ok:
-                for result in job.result["results"]:
-                    by_id[result.request_id] = result
-                for failure in job.result["failures"]:
-                    self.last_errors[failure["request_id"]] = failure["error"]
-            else:
-                # The model itself was unobtainable: every request fails.
-                for request in batch.requests:
-                    self.last_errors[str(request.request_id)] = job.error
+        for batch in batches.values():
+            job = execute_serving_batch(batch)
+            for result in job.result["results"]:
+                by_id[result.request_id] = result
+            for failure in job.result["failures"]:
+                self.last_errors[failure["request_id"]] = failure["error"]
         ordered = [by_id[str(request.request_id)] for request in pending
                    if str(request.request_id) in by_id]
         if self.last_errors and raise_on_error:

@@ -124,11 +124,6 @@ def replay_pending(store: DurableStore,
                              requests=requests,
                              imputer=service.store.get(model_id))
         job = execute_serving_batch(batch)
-        if not job.ok:
-            for entry in entries:
-                store.mark_failed(entry["request_id"], model_id, job.error)
-            summary["failed"] += len(entries)
-            continue
         for result in job.result["results"]:
             inserted = store.commit_result(
                 result.request_id, model_id, result.to_dict(),
@@ -328,13 +323,6 @@ class ShardServer:
                 imputer=self.service.store.get(model_id))
             serve_start = time.perf_counter()
             job = execute_serving_batch(batch)
-            if not job.ok:
-                for entry in entries:
-                    request_id = entry["request"]["request_id"]
-                    self.store.mark_failed(request_id, model_id, job.error)
-                    failures.append({"request_id": request_id,
-                                     "error": job.error})
-                continue
             for result in job.result["results"]:
                 wire_result = result.to_dict()
                 commit_start = time.perf_counter()

@@ -1,7 +1,7 @@
 """Executors: run compiled job lists serially or across a process pool.
 
 Both executors implement the same protocol —
-``run(jobs, cache=None, progress=None, run_fn=execute_job) -> List[JobResult]``
+``run(jobs, cache=None, progress=None) -> List[JobResult]``
 — and share the engine's execution contract:
 
 * results come back in job order, so serial and parallel runs of the same
@@ -15,12 +15,9 @@ Both executors implement the same protocol —
 After :meth:`run` returns, ``executor.last_report`` summarises the sweep
 (executed / cached / failed counts plus the failed results).
 
-Executors are not tied to grid-cell jobs: ``run_fn`` may be any picklable
-module-level callable with the :func:`execute_job` signature
-(``(spec, key=...) -> JobResult``), and ``jobs`` any objects exposing
-``key()`` and ``needs_execution()``.  The service layer
-(:mod:`repro.api.service`) uses this to run micro-batched impute requests
-through the same machinery as experiment sweeps.
+Executors run experiment-grid cells through :func:`execute_job`.  Serving
+does not go through an executor: :meth:`repro.api.ImputationService.gather`
+calls :func:`repro.api.service.execute_serving_batch` once per model.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ ProgressCallback = Callable[[int, int, JobResult], None]
 class Job(Protocol):
     """What executors require of a job: a stable key and a cache veto.
 
-    :class:`~repro.engine.jobs.JobSpec` (grid cells) and
-    :class:`~repro.api.service.ServingBatch` (micro-batched impute
-    requests) both satisfy this structurally.
+    :class:`~repro.engine.jobs.JobSpec` (grid cells) satisfies this
+    structurally.
     """
 
     def key(self) -> str: ...
@@ -65,18 +61,13 @@ class ExecutionReport:
                 f"{self.from_cache} from cache, {self.failed} failed")
 
 
-#: a job runner: picklable module-level ``(spec, key=...) -> JobResult``
-JobRunner = Callable[..., JobResult]
-
-
 class Executor(Protocol):
     """Anything that can run a list of jobs and report per-job outcomes."""
 
     last_report: ExecutionReport
 
     def run(self, jobs: Sequence[Job], cache: Optional[ResultCache] = None,
-            progress: Optional[ProgressCallback] = None,
-            run_fn: JobRunner = execute_job) -> List[JobResult]:
+            progress: Optional[ProgressCallback] = None) -> List[JobResult]:
         ...
 
 
@@ -112,14 +103,14 @@ class SerialExecutor(_ExecutorBase):
     """Run every job in the calling process, one after another."""
 
     def run(self, jobs: Sequence[Job], cache: Optional[ResultCache] = None,
-            progress: Optional[ProgressCallback] = None,
-            run_fn: JobRunner = execute_job) -> List[JobResult]:
+            progress: Optional[ProgressCallback] = None) -> List[JobResult]:
         self.last_report = ExecutionReport(total=len(jobs))
         results: List[JobResult] = []
         for index, spec in enumerate(jobs):
             key = spec.key()
             cached = self._probe_cache(spec, key, cache)
-            job_result = cached if cached is not None else run_fn(spec, key=key)
+            job_result = cached if cached is not None \
+                else execute_job(spec, key=key)
             self._record(job_result, cache)
             results.append(job_result)
             if progress is not None:
@@ -141,8 +132,7 @@ class ParallelExecutor(_ExecutorBase):
         self.workers = workers or os.cpu_count() or 1
 
     def run(self, jobs: Sequence[Job], cache: Optional[ResultCache] = None,
-            progress: Optional[ProgressCallback] = None,
-            run_fn: JobRunner = execute_job) -> List[JobResult]:
+            progress: Optional[ProgressCallback] = None) -> List[JobResult]:
         self.last_report = ExecutionReport(total=len(jobs))
         results: List[Optional[JobResult]] = [None] * len(jobs)
         keys = [spec.key() for spec in jobs]
@@ -162,7 +152,7 @@ class ParallelExecutor(_ExecutorBase):
         if pending:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=min(self.workers, len(pending))) as pool:
-                futures = {pool.submit(run_fn, jobs[index],
+                futures = {pool.submit(execute_job, jobs[index],
                                        key=keys[index]): index
                            for index in pending}
                 for future in concurrent.futures.as_completed(futures):

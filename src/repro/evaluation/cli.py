@@ -325,8 +325,7 @@ def _command_impute(args: argparse.Namespace) -> int:
     results = service.gather()
 
     print(f"[service] served {len(results)} request(s) from "
-          f"{service.fit_counts[model_id]} fit ("
-          f"{service.last_report.describe()})")
+          f"{service.fit_counts[model_id]} fit")
     print(f"\n{'request':<12} {'MAE':>8} {'seconds':>8}")
     for result, (_, missing_mask) in zip(results, patterns):
         error = mae(result.completed, truth, missing_mask)

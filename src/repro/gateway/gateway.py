@@ -533,10 +533,6 @@ class Gateway:
         finally:
             self._close_batch_spans(traced, batch_spans, dispatched,
                                     len(live), fast_lane=False)
-        if not job.ok:
-            self._fail_all(live, ServiceError(
-                f"serving batch for model {model_id!r} failed:\n{job.error}"))
-            return
         results = {result.request_id: result
                    for result in job.result["results"]}
         errors = {failure["request_id"]: failure["error"]

@@ -10,10 +10,8 @@ and closes the quality loop over its watched streams:
    which triggers a warm-start :meth:`~repro.api.ImputationService.refit`
    on the loop's own history of the stream — producing the lineage's
    next *version*, stored alongside the serving one;
-3. the new version shadow-serves a slice of the probe traffic (through
-   the gateway's batch lane when one is attached, so shadow work can
-   never starve interactive traffic); its scores are recorded, never
-   returned;
+3. the new version shadow-serves a slice of the probe traffic; its
+   scores are recorded, never returned;
 4. the :class:`~repro.online.canary.CanaryController` promotes it once
    it meets the SLO — ``@latest`` flips, the stream's floating ref picks
    the new version up on its next window — or rolls it back; a promotion
@@ -109,23 +107,17 @@ class OnlineLoop:
         own periodic refits would race the canary protocol.
     drift / canary:
         Default detector and rollout configs for :meth:`watch`.
-    gateway:
-        Optional running :class:`repro.gateway.Gateway` over the same
-        service.  When given, the streams' windows *and* the loop's
-        probe/shadow traffic all route through its batch lane.
     """
 
     def __init__(self, streaming: StreamingService,
                  drift: Optional[DriftConfig] = None,
-                 canary: Optional[CanaryConfig] = None,
-                 gateway=None) -> None:
+                 canary: Optional[CanaryConfig] = None) -> None:
         self.streaming = streaming
         self.service = streaming.service
         self.drift_config = drift or DriftConfig()
         self.canary = CanaryController(
             self.service.versions, canary or CanaryConfig(),
             store=self.service.store)
-        self.gateway = gateway
         self._watched: Dict[str, _WatchState] = {}
         self.reports: List[OnlineReport] = []
         # loop-level counters surfaced by snapshot()
@@ -186,8 +178,7 @@ class OnlineLoop:
         primary traffic resolves.  Returns one :class:`OnlineReport` per
         watched-stream window served this step.
         """
-        results = self.streaming.step(max_windows=max_windows,
-                                      gateway=self.gateway)
+        results = self.streaming.step(max_windows=max_windows)
         reports: List[OnlineReport] = []
         for result in results:
             watch = self._watched.get(result.stream_id)
@@ -268,11 +259,7 @@ class OnlineLoop:
         ctx = obs_trace.start_trace()
         request = ImputeRequest(model_id=ref, data=probe_tensor, trace=ctx)
         start = time.perf_counter()
-        if self.gateway is not None:
-            result = self.gateway.submit(request,
-                                         priority="batch").result()
-        else:
-            result = self.service.impute(request)
+        result = self.service.impute(request)
         if ctx is not None:
             obs_trace.write_span(
                 "online.shadow" if shadow else "online.probe", ctx,

@@ -8,15 +8,12 @@ arriving".  It is organised as:
     :class:`StreamWindow` / :class:`WindowedStream` — chunk a recorded
     tensor or a live tick feed into overlapping sliding windows — and the
     overlap-deduplicating, bounded :class:`HistoryBuffer`.
-:mod:`repro.streaming.imputer`
-    The :class:`StreamingImputer` protocol (``update`` / ``impute_window``)
-    and :class:`WindowedStreamingImputer`, which serves any registry method
-    incrementally: warm-start from a fitted artifact, refit on the bounded
-    history every K windows.
 :mod:`repro.streaming.service`
-    :class:`StreamingService` — many concurrent streams over one
-    :class:`~repro.api.ImputationService`, with per-step micro-batching
-    across streams and per-stream failure isolation.
+    :class:`StreamingService` — the streaming server: many concurrent
+    streams over one :class:`~repro.api.ImputationService`, each either
+    warm-started from a stored model or refitted on its bounded history
+    every K windows, with per-step micro-batching across streams and
+    per-stream failure isolation.
 :mod:`repro.streaming.replay`
     :func:`replay` — feed a dataset through the serving path under a
     live-failure scenario (``drift_outage``, ``correlated_failure``,
@@ -30,7 +27,6 @@ Streaming-capable methods are tagged in the registry::
     list_methods(tags=("streaming",))
 """
 
-from repro.streaming.imputer import StreamingImputer, WindowedStreamingImputer
 from repro.streaming.replay import ReplayReport, WindowScore, replay
 from repro.streaming.service import (
     StreamingService,
@@ -45,10 +41,8 @@ __all__ = [
     "StreamState",
     "StreamWindow",
     "StreamWindowResult",
-    "StreamingImputer",
     "StreamingService",
     "WindowScore",
     "WindowedStream",
-    "WindowedStreamingImputer",
     "replay",
 ]

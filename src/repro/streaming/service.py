@@ -5,8 +5,7 @@ registered stream owns a model in the wrapped
 :class:`~repro.api.ImputationService` (fitted on that stream's bounded
 history, refreshed every ``refit_every`` windows); each serving *step*
 takes the next pending window of every stream and pushes them through the
-service's micro-batched ``submit``/``gather`` path (or a running
-:class:`~repro.gateway.Gateway`), so
+service's micro-batched ``submit``/``gather`` path, so
 
 * every stream's window is served in the same in-process sweep (one
   serving batch per model), and
@@ -45,7 +44,6 @@ from repro.api.telemetry import MetricsSnapshot, ServingMetrics
 from repro.baselines.registry import ImputerRegistry, get_registry
 from repro.data.tensor import TimeSeriesTensor
 from repro.exceptions import ServiceError, ValidationError
-from repro.streaming.imputer import refit_due
 from repro.streaming.windows import HistoryBuffer, StreamWindow, WindowedStream
 
 __all__ = ["StreamState", "StreamWindowResult", "StreamingService"]
@@ -266,8 +264,7 @@ class StreamingService:
         self.metrics.record_submit("stream")
         state.pending.append(window)
 
-    def step(self, max_windows: int = 1,
-             gateway=None) -> List[StreamWindowResult]:
+    def step(self, max_windows: int = 1) -> List[StreamWindowResult]:
         """Serve pending windows of every stream, micro-batched together.
 
         Refits (when due) run first, serially in this process — they are
@@ -283,14 +280,6 @@ class StreamingService:
         fused sweep.  A model superseded by a mid-step refit is retired only
         after the sweep, so windows already queued against it still serve.
 
-        ``gateway`` routes the step's windows through a running
-        :class:`repro.gateway.Gateway` instead of the service's own
-        submit/gather sweep: the windows enter the gateway's ``"batch"``
-        lane (so a backlog drain never starves live interactive traffic),
-        its adaptive batcher fuses them with whatever else is in flight,
-        and this call blocks until every window of the step resolves.  The
-        gateway must serve the same model store as this streaming service.
-
         Failures never propagate across streams: each becomes a per-window
         error result.
 
@@ -299,18 +288,6 @@ class StreamingService:
         by this step and its result silently lost, so that state is
         rejected up front.
         """
-        if gateway is not None:
-            if gateway.service.store is not self.service.store:
-                raise ServiceError(
-                    "the gateway serves a different model store than this "
-                    "streaming service; build it over the same "
-                    "ImputationService (Gateway(streaming.service, ...))")
-            if not gateway.running:
-                # step() blocks on the gateway's futures; without a worker
-                # pool they would never resolve and the step would hang.
-                raise ServiceError(
-                    "the gateway's worker pool is not running; call "
-                    "gateway.start() before routing a step through it")
         if self.service.pending_count():
             raise ServiceError(
                 f"the wrapped ImputationService has "
@@ -322,7 +299,6 @@ class StreamingService:
                 f"max_windows must be >= 0, got {max_windows}")
         active: List[StreamWindowResult] = []
         requests: Dict[str, StreamWindowResult] = {}
-        futures: Dict[str, object] = {}
         retired: List[str] = []
         for state in self._streams.values():
             if state.closed or not state.pending:
@@ -343,9 +319,8 @@ class StreamingService:
                 try:
                     # Refit *and* submit failures stay on their stream: a
                     # submit that raises (e.g. the model was pruned from a
-                    # shared store, or the gateway queue is full) must
-                    # neither abort the step nor strand the sibling
-                    # requests already queued.
+                    # shared store) must neither abort the step nor strand
+                    # the sibling requests already queued.
                     if self._needs_refit(state):
                         result.refit = True
                         result.refit_seconds = self._refit(state, retired)
@@ -358,11 +333,7 @@ class StreamingService:
                         model_id=ModelRef.latest(state.model_id),
                         data=window.tensor,
                         request_id=request_id)
-                    if gateway is None:
-                        self.service.submit(request)
-                    else:
-                        futures[request_id] = gateway.submit(
-                            request, priority="batch")
+                    self.service.submit(request)
                 except Exception:
                     import traceback
 
@@ -372,19 +343,7 @@ class StreamingService:
                     continue
                 requests[request_id] = result
 
-        if gateway is None:
-            served = self.service.gather(raise_on_error=False)
-            errors = dict(self.service.last_errors)
-        else:
-            served, errors = [], {}
-            for request_id, future in futures.items():
-                try:
-                    served.append(future.result())
-                except Exception:
-                    import traceback
-
-                    errors[request_id] = traceback.format_exc()
-        for impute_result in served:
+        for impute_result in self.service.gather(raise_on_error=False):
             result = requests.get(impute_result.request_id)
             if result is None:
                 continue
@@ -395,7 +354,9 @@ class StreamingService:
             self.metrics.record_completion(impute_result.latency_seconds,
                                            fused=impute_result.fused,
                                            fast_path=impute_result.fast_path)
-        for request_id, error in errors.items():
+        # Failures are keyed by our own request ids; a sweep with nothing
+        # submitted leaves the previous sweep's entries, which match none.
+        for request_id, error in self.service.last_errors.items():
             result = requests.get(request_id)
             if result is None:
                 continue
@@ -461,9 +422,19 @@ class StreamingService:
                 f"unknown stream {stream_id!r}; open streams: {known}"
             ) from None
 
-    def _needs_refit(self, state: StreamState) -> bool:
-        return refit_due(state.model_id is not None, state.windows_since_fit,
-                         state.refit_every)
+    @staticmethod
+    def _needs_refit(state: StreamState) -> bool:
+        """True when the stream's next window triggers a (re)fit.
+
+        A stream without a model is always due; ``refit_every == 0`` never
+        refits once a model serves (warm-start serving); otherwise a refit
+        is due every ``refit_every`` absorbed windows.
+        """
+        if state.model_id is None:
+            return True
+        if state.refit_every == 0:
+            return False
+        return state.windows_since_fit >= state.refit_every
 
     def _refit(self, state: StreamState,
                retired: Optional[List[str]] = None) -> float:

@@ -8,11 +8,11 @@ either by replaying a recorded tensor (benchmarks, backtests) or by
 buffering a live iterator of per-tick arrays (serving).
 
 Windows may overlap: with ``stride < window_size`` each new window re-reads
-the tail of the previous one, which gives incremental imputers warm context
+the tail of the previous one, which gives incremental refits warm context
 at the cost of re-imputing the overlap.  :class:`HistoryBuffer` is the
-de-duplicating accumulator both the streaming imputer and the streaming
-service use to grow a *bounded* training history out of (possibly
-overlapping) windows.
+de-duplicating accumulator the streaming service (per-stream refits) and
+the online loop (drift-triggered refits) use to grow a *bounded* training
+history out of (possibly overlapping) windows.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api import service as service_module
 from repro.baselines.registry import ImputerRegistry, MethodInfo
 from repro.baselines.simple import MeanImputer
 from repro.core.config import DeepMVIConfig
@@ -74,7 +75,8 @@ class TestFitOnceServeMany:
             assert result.from_batch
             assert result.completed.missing_fraction == 0.0
 
-    def test_gather_micro_batches_per_model(self, counting_registry, masked_panel):
+    def test_gather_micro_batches_per_model(self, counting_registry,
+                                            masked_panel, monkeypatch):
         _, incomplete, _, _ = masked_panel
         service = api.ImputationService(registry=counting_registry)
         model_a = service.fit(incomplete, method="counting-mean")
@@ -82,10 +84,18 @@ class TestFitOnceServeMany:
         for _ in range(3):
             service.submit(api.ImputeRequest(model_id=model_a))
             service.submit(api.ImputeRequest(model_id=model_b))
+        batches = []
+        serve = service_module.execute_serving_batch
+
+        def spy(batch):
+            batches.append((batch.model_id, len(batch.requests)))
+            return serve(batch)
+
+        monkeypatch.setattr(service_module, "execute_serving_batch", spy)
         results = service.gather()
-        # 6 requests collapse to one engine job per distinct model.
+        # 6 requests collapse to one serving batch per distinct model.
         assert len(results) == 6
-        assert service.last_report.total == 2
+        assert batches == [(model_a, 3), (model_b, 3)]
 
     def test_gather_returns_results_in_submit_order(self, masked_panel):
         _, incomplete, _, _ = masked_panel
@@ -301,8 +311,7 @@ class TestModelStore:
         results = cold.gather()
         assert [r.model_id for r in results] == [model_a, model_b]
         assert all(r.completed.missing_fraction == 0.0 for r in results)
-        assert cold.last_report.describe() == \
-            "2 jobs: 2 executed, 0 from cache, 0 failed"
+        assert cold.last_errors == {}
 
 
 class TestOneLiner:

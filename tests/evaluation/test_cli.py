@@ -1,8 +1,17 @@
 """Tests of the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.evaluation.cli import main
+
+
+def _table(output):
+    """``metric -> value`` rows of a bench command's two-column table."""
+    cells = (re.split(r"\s{2,}", line.strip(), maxsplit=1)
+             for line in output.splitlines())
+    return {row[0]: row[1] for row in cells if len(row) == 2}
 
 
 class TestListCommand:
@@ -70,6 +79,26 @@ class TestGatewayBenchCommand:
         output = capsys.readouterr().out
         assert "baseline" not in output
         assert "4/4" in output
+
+
+class TestClusterBenchCommand:
+    def test_kill_and_resend_lose_nothing(self, capsys):
+        code = main(["cluster-bench", "--dataset", "airq", "--size", "tiny",
+                     "--method", "mean", "--shards", "2", "--requests", "6"])
+        assert code == 0
+        rows = _table(capsys.readouterr().out)
+        assert rows["requests delivered"] == "6/6"
+        assert rows["lost"] == "0"
+        assert rows["resend dedupe hits"] == "6/6"
+
+
+class TestOnlineBenchCommand:
+    def test_journal_records_each_transition_once(self, capsys):
+        code = main(["online-bench", "--dataset", "airq", "--size", "tiny",
+                     "--quiet"])
+        assert code == 0
+        rows = _table(capsys.readouterr().out)
+        assert rows["journalled exactly once"] == "yes"
 
 
 class TestRunCommand:

@@ -92,6 +92,20 @@ class TestStreamLifecycle:
         (again,) = svc.step()
         assert again.ok and again.refit
 
+    def test_negative_refit_every_is_rejected(self, registry):
+        svc = StreamingService(registry=registry)
+        with pytest.raises(ValidationError, match="refit_every"):
+            svc.open_stream("cold", method="mean", refit_every=-1)
+        assert svc.streams() == []
+
+    def test_warm_start_negative_refit_every(self, registry,
+                                             small_panel):
+        svc = StreamingService(registry=registry)
+        model_id = svc.service.fit(small_panel, method="mean")
+        with pytest.raises(ValidationError, match="refit_every"):
+            svc.open_stream("warm", warm_start=model_id, refit_every=-1)
+        assert svc.streams() == []
+
     def test_max_history_none_means_unbounded(self, registry):
         svc = StreamingService(registry=registry, default_max_history=16)
         unbounded = svc.open_stream("a", method="mean", max_history=None)
@@ -169,6 +183,24 @@ class TestServing:
         served = svc.run({"a": incomplete_stream})["a"]
         assert all(r.ok and not r.refit for r in served)
         assert svc.service.fit_counts == {model_id: 1}
+
+    def test_warm_start_serves_a_model_saved_earlier(
+            self, registry, small_panel, incomplete_stream, tmp_path):
+        # Train offline, serve later: a new service over the same store
+        # directory answers every window with the saved model, unfitted.
+        store_dir = str(tmp_path / "models")
+        offline = ImputationService(store_dir=store_dir, registry=registry)
+        model_id = offline.fit(small_panel, method="mean")
+        svc = StreamingService(store_dir=store_dir, registry=registry)
+        state = svc.open_stream("a", warm_start=model_id, refit_every=0)
+        assert state.method == "mean"
+        served = svc.run({"a": incomplete_stream})["a"]
+        assert served and all(r.ok and not r.refit for r in served)
+        for result, window in zip(served, incomplete_stream):
+            expected = offline.impute(window.tensor, model_id=model_id)
+            np.testing.assert_array_equal(result.completed.values,
+                                          expected.completed.values)
+        assert state.refits == 0 and svc.service.fit_counts == {}
 
     def test_warm_start_derives_the_method_from_the_store(self, registry,
                                                           small_panel,
