@@ -293,16 +293,6 @@ class ModelStore:
             f"unknown model id {model_id!r}; known: "
             + (", ".join(sorted(self.list_models())) or "<none>"))
 
-    # repro-lint: allow[model-ref]
-    def peek(self, model_id: str) -> Optional[BaseImputer]:
-        """The warm in-memory imputer, or None — never touches the disk.
-
-        For opportunistic readers (the gateway's fast lane, telemetry):
-        no artifact load, no recency refresh, no hit/miss accounting.
-        """
-        check_model_id(model_id)
-        return self._models.peek(model_id)
-
     def cache_stats(self) -> Dict[str, object]:
         """Hit/miss/eviction statistics of the in-memory model cache."""
         return self._models.stats()
@@ -408,9 +398,8 @@ def _fast_path_flags(imputer: BaseImputer, count: int) -> List[bool]:
 def execute_serving_batch(batch: ServingBatch) -> JobResult:
     """Run one micro-batch: impute every request with the batch's model.
 
-    Shared by :meth:`ImputationService.gather`, the gateway's locked lane
-    and the cluster shards.  The returned :class:`JobResult` is always ok
-    and carries
+    Shared by :meth:`ImputationService.gather`, the gateway and the cluster
+    shards.  The returned :class:`JobResult` is always ok and carries
     ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``:
     a request that fails is recorded there, never raised.
 
@@ -431,22 +420,22 @@ def execute_serving_batch(batch: ServingBatch) -> JobResult:
     results: List[ImputeResult] = []
     failures: List[Dict[str, str]] = []
     fused_results = None
+    # Remote proxies (the cluster's RemoteModel) expose ``serve_requests``,
+    # which ships the full requests — trace contexts included — across the
+    # RPC in one call instead of stripping them down to bare tensors.
+    serve_requests = getattr(imputer, "serve_requests", None)
     # Only genuinely fused implementations are worth the all-or-nothing
     # first attempt; the BaseImputer default is the same per-request loop
     # as the fallback, so running it "fused" would just double-execute the
     # healthy requests whenever one fails.
-    overrides_impute_many = (type(imputer).impute_many
-                             is not BaseImputer.impute_many)
+    fuses = callable(serve_requests) or (type(imputer).impute_many
+                                         is not BaseImputer.impute_many)
     # Tracing: the fused forward can only activate one context for the
     # imputer-internal stage hooks, so the first traced request hosts them;
     # every traced request still gets its own serve-stage span below.
     traced = [request.trace for request in batch.requests
               if request.trace is not None] if obs_trace.enabled() else []
-    # Remote proxies (the cluster's RemoteModel) expose ``serve_requests``,
-    # which ships the full requests — trace contexts included — across the
-    # RPC instead of stripping them down to bare tensors.
-    serve_requests = getattr(imputer, "serve_requests", None)
-    if len(batch.requests) > 1 and overrides_impute_many:
+    if len(batch.requests) > 1 and fuses:
         try:
             with obs_trace.activate(traced[0] if traced else None):
                 start = time.perf_counter()

@@ -56,7 +56,7 @@ QPS_WINDOW_SECONDS = 30.0
 #: Prometheus export (:func:`repro.obs.metrics.feed_snapshot`) renders
 #: them as counters; every other number in a snapshot is a gauge.
 COUNTER_KEYS = ("submitted", "completed", "failed", "rejected", "expired",
-                "batches", "fast_lane_fallbacks")
+                "batches")
 
 
 def rate(numerator: float, denominator: float) -> float:
@@ -191,8 +191,7 @@ class MetricsSnapshot(Mapping):
 
 @guarded_by("_lock", "submitted", "completed", "failed", "rejected",
             "expired", "fused_completed", "fast_path_completed", "batches",
-            "batch_size_sum", "fast_lane_fallbacks", "_latencies",
-            "_completion_times")
+            "batch_size_sum", "_latencies", "_completion_times")
 class ServingMetrics:
     """Thread-safe counters + reservoirs behind a tier's ``stats()``.
 
@@ -213,10 +212,6 @@ class ServingMetrics:
         self.fast_path_completed = 0
         self.batches = 0
         self.batch_size_sum = 0
-        #: batches that probed the gateway's no-lock fast lane and fell
-        #: back to the locked path because the probe *raised* (not a clean
-        #: miss), so a misbehaving fast lane shows in stats()
-        self.fast_lane_fallbacks = 0
         self._latencies: Deque[float] = deque(maxlen=LATENCY_RESERVOIR)
         #: completion stamps for the sliding-window QPS (bounded: stale
         #: stamps are pruned on record and on snapshot)
@@ -243,10 +238,6 @@ class ServingMetrics:
         with self._lock:
             self.batches += 1
             self.batch_size_sum += size
-
-    def record_fast_lane_fallback(self) -> None:
-        with self._lock:
-            self.fast_lane_fallbacks += 1
 
     def record_completion(self, latency_seconds: float,
                           fused: bool = False,
@@ -275,9 +266,9 @@ class ServingMetrics:
         The tier passes what it alone knows: its queue depth, and for the
         gateway the lane depths, model-cache counters, per-model table
         provenance and (when it fronts a cluster router) per-shard
-        rollups.  ``extras`` merge into the dict form after
-        ``fast_lane_fallbacks``.  Rates are zero — never NaN, never a
-        ZeroDivisionError — on a cold recorder (:func:`rate`).
+        rollups.  ``extras`` merge into the dict form after every other
+        key.  Rates are zero — never NaN, never a ZeroDivisionError — on a
+        cold recorder (:func:`rate`).
 
         The snapshot is **consistent**: every counter and reservoir is
         copied inside one short critical section, so a concurrent soak
@@ -299,7 +290,6 @@ class ServingMetrics:
             fast_path_completed = self.fast_path_completed
             batches = self.batches
             batch_size_sum = self.batch_size_sum
-            fast_lane_fallbacks = self.fast_lane_fallbacks
             latencies = list(self._latencies)
             window_completions = len(self._completion_times)
         uptime = max(now - self._started_at, 1e-9)
@@ -333,8 +323,7 @@ class ServingMetrics:
             shards=dict(shards) if shards is not None else None,
             # Extras merge after the legacy keys, so the historical wire
             # order of the snapshot dict is untouched.
-            extras={"fast_lane_fallbacks": fast_lane_fallbacks,
-                    **(extras or {})},
+            extras=dict(extras or {}),
         )
 
     # -- internals ------------------------------------------------------- #

@@ -86,13 +86,13 @@ class ShardClient:
 class RemoteModel:
     """Gateway-facing proxy for a model living on a shard.
 
-    Quacks just enough like a fitted imputer for the gateway's serving
-    path: ``impute_many`` (one fused ``serve`` RPC for the whole batch —
-    the router-side analogue of a fused forward call), ``impute``, and
-    ``last_impute_info`` so fusion/fast-path flags flow into gateway
-    telemetry.  Deliberately *not* a ``BaseImputer`` subclass: defining
-    its own ``impute_many`` is what routes gateway batches through the
-    single-RPC path.
+    Quacks just enough like a fitted imputer for
+    ``execute_serving_batch``: :meth:`serve_requests` (one ``serve`` RPC
+    for the whole batch — the router-side analogue of a fused forward
+    call) and ``last_impute_info``, so fast-path flags flow into gateway
+    telemetry.  Deliberately *not* a ``BaseImputer``: having
+    ``serve_requests`` is what makes ``execute_serving_batch`` fuse a
+    gateway batch into that single RPC.
     """
 
     name = "remote"
@@ -104,22 +104,15 @@ class RemoteModel:
         #: DeepMVIImputer's telemetry contract
         self.last_impute_info: List[Dict[str, object]] = []
 
-    def impute_many(self, tensors: Sequence) -> List:
-        results = self._router._serve_remote(self.model_id, list(tensors))
-        self.last_impute_info = [
-            {"fast_path": result.fast_path, "fused": result.fused}
-            for result in results]
-        return [result.completed for result in results]
-
     def serve_requests(self, requests: Sequence[ImputeRequest]) -> List:
-        """Serve full requests, carrying their trace contexts to the shard.
+        """Serve full requests in one RPC; returns their completed tensors.
 
-        The trace-aware sibling of :meth:`impute_many`:
-        ``execute_serving_batch`` prefers it when present, so a traced
-        gateway batch keeps its contexts across the RPC boundary instead
-        of being stripped down to bare tensors.  The router still mints
-        its own request ids — gateway ids are per-gateway counters, not
-        the globally-unique keys the exactly-once ledger needs.
+        ``execute_serving_batch`` calls this in place of ``impute_many``
+        and ``impute``, so a traced gateway batch keeps its contexts
+        across the RPC boundary instead of being stripped down to bare
+        tensors.  The router still mints its own request ids — gateway
+        ids are per-gateway counters, not the globally-unique keys the
+        exactly-once ledger needs.
         """
         results = self._router._serve_remote(
             self.model_id,
@@ -130,14 +123,11 @@ class RemoteModel:
             for result in results]
         return [result.completed for result in results]
 
-    def impute(self, tensor=None):
-        return self.impute_many([tensor])[0]
-
 
 class ClusterModelStore:
     """``ModelStore``-shaped façade over the cluster, for the gateway.
 
-    ``get``/``peek`` hand out :class:`RemoteModel` proxies; membership and
+    ``get`` hands out :class:`RemoteModel` proxies; membership and
     listings ask the owning shard over the wire (memoised — model ids are
     immutable once fitted); cache and fast-path telemetry aggregate the
     per-shard stores.
@@ -174,11 +164,6 @@ class ClusterModelStore:
             proxy = self._remote_models[model_id] = RemoteModel(
                 self._router, model_id)
         return proxy
-
-    def peek(self, model_id: str) -> Optional[RemoteModel]:
-        # No try_fast_path on RemoteModel, so the gateway's no-lock fast
-        # lane declines and batches flow through the fused RPC path.
-        return self._remote_models.get(model_id)
 
     def method_for(self, model_id: str) -> Optional[str]:
         return self._router._methods.get(model_id)

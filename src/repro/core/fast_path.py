@@ -45,8 +45,9 @@ and pays forward passes only for the windows that actually moved.
 Tables are built together with the model they serve (at fit time, or
 when a saved model without tables is restored) and are exact for it, so
 they have no lifecycle: no staleness, no refresh.  They are immutable
-once built, which is what lets concurrent readers (the gateway's no-lock
-fast lane) use them without a lock.
+once built; serving reads them per cell inside
+:meth:`DeepMVIImputer.impute_many`, which the gateway runs under its
+model lock.
 """
 
 from __future__ import annotations

@@ -294,10 +294,10 @@ class DeepMVIImputer(BaseImputer):
     def try_fast_path(self, tensors) -> Optional[list]:
         """All-or-nothing table-only serving; None unless *every* cell hits.
 
-        The gateway's no-lock fast lane: reads only immutable state (the
-        table object, the frozen fitted context) and writes none of the
-        caches, so concurrent calls need no model lock.  Gives up at the
-        first request with a miss, so a miss stays cheap.
+        No serving tier calls this: :meth:`impute_many` answers each table
+        hit per cell on its own.  It reads only immutable state (the table
+        object, the frozen fitted context), writes none of the caches and
+        gives up at the first request with a miss.
         """
         tables = self.fast_path_tables
         if tables is None or self.model is None or self.context is None:

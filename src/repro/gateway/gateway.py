@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ from repro.api.telemetry import MetricsSnapshot, ServingMetrics
 from repro.api.service import (
     ImputationService,
     ServingBatch,
-    _latency,
     coerce_impute_request,
     execute_serving_batch,
 )
@@ -80,8 +78,6 @@ from repro.gateway.queue import (
 
 __all__ = ["Gateway", "GatewayConfig"]
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class GatewayConfig:
@@ -99,12 +95,10 @@ class GatewayConfig:
         traffic every request pays up to this wait, under heavy traffic
         batches fill to ``max_batch_size`` long before it elapses.
 
-    The fast lane needs no knob: a batch whose every cell hits the model's
-    precomputed lookup tables (:mod:`repro.core.fast_path`) is served
-    with pure table reads and no model lock, so it overlaps freely with a
-    full forward; any miss sends the batch down the locked fused path.
-    ``fast_lane_fallbacks`` in :meth:`Gateway.stats` counts probes that
-    raised.
+    The fast path has no knob: every batch is served by one fused pass
+    under the model lock, and inside it each cell that hits the model's
+    precomputed lookup tables (:mod:`repro.core.fast_path`) is read from
+    them instead of running the forward.
     """
 
     #: total queued requests admitted across both lanes
@@ -299,9 +293,9 @@ class Gateway:
                 f"unknown priority {priority!r}; lanes: " + ", ".join(LANES))
         request = coerce_impute_request(request, model_id)
         # Resolve a ModelRef (or "m@2" string) to its concrete store id at
-        # the front door: batching groups, model locks and the fast lane
-        # all key on concrete ids, and ``@latest`` must pin to whatever
-        # the lineage serves *now*, not at some later dispatch time.
+        # the front door: batching groups and model locks key on concrete
+        # ids, and ``@latest`` must pin to whatever the lineage serves
+        # *now*, not at some later dispatch time.
         resolver = getattr(self.service, "resolve_ref", None)
         if callable(resolver):
             concrete = resolver(request.model_ref)
@@ -368,9 +362,18 @@ class Gateway:
                priority: str = "interactive",
                deadline_ms: Optional[float] = None,
                timeout: Optional[float] = None) -> ImputeResult:
-        """Synchronous convenience: :meth:`submit` + wait for the result."""
-        return self.submit(request, model_id=model_id, priority=priority,
-                           deadline_ms=deadline_ms).result(timeout)
+        """Synchronous convenience: :meth:`submit` + wait for the result.
+
+        ``timeout`` bounds the whole call: the wait for queue space under
+        the ``"block"`` admission policy and then the wait for the result
+        share it.
+        """
+        started = time.monotonic()
+        future = self.submit(request, model_id=model_id, priority=priority,
+                             deadline_ms=deadline_ms, timeout=timeout)
+        if timeout is not None:
+            timeout = max(timeout - (time.monotonic() - started), 0.0)
+        return future.result(timeout)
 
     # -- introspection --------------------------------------------------- #
     @property
@@ -485,8 +488,8 @@ class Gateway:
         model_id = live[0].request.model_id
         # Tracing: close each traced request's queue-wait span and re-stamp
         # it with a per-batch child context, so the serving spans written
-        # downstream (fast lane, fused forward, shard RPC) parent onto the
-        # batch rather than onto the root.
+        # downstream (fused forward, shard RPC) parent onto the batch rather
+        # than onto the root.
         dispatched = time.perf_counter()
         traced: List[QueuedRequest] = []
         batch_spans: List[dict] = []
@@ -504,14 +507,6 @@ class Gateway:
                 entry.request = dataclasses.replace(entry.request,
                                                     trace=ctx.child())
                 traced.append(entry)
-        # No-lock fast lane: when every request in the batch is fully
-        # answerable from the model's precomputed lookup tables, serve it
-        # with pure reads — no model lock, no forward pass.  All-or-
-        # nothing per batch; any miss falls through to the locked path.
-        if self._try_fast_lane(model_id, live):
-            self._close_batch_spans(traced, batch_spans, dispatched,
-                                    len(live), fast_lane=True)
-            return
         # One batch per model at a time: the fitted imputers (live network
         # objects) are not guaranteed re-entrant, and on one interpreter
         # the throughput lever is fusion, not intra-model thread overlap.
@@ -532,7 +527,7 @@ class Gateway:
                 job = execute_serving_batch(serving)
         finally:
             self._close_batch_spans(traced, batch_spans, dispatched,
-                                    len(live), fast_lane=False)
+                                    len(live))
         results = {result.request_id: result
                    for result in job.result["results"]}
         errors = {failure["request_id"]: failure["error"]
@@ -557,7 +552,7 @@ class Gateway:
 
     def _close_batch_spans(self, traced: List[QueuedRequest],
                            batch_spans: List[dict], dispatched: float,
-                           batch_size: int, fast_lane: bool) -> None:
+                           batch_size: int) -> None:
         """Flush the batch's buffered spans plus a ``gateway.batch`` each.
 
         The batch span's context is the one re-stamped on the request at
@@ -571,79 +566,8 @@ class Gateway:
             if ctx is not None:
                 batch_spans.append(obs_trace.span_record(
                     "gateway.batch", ctx, dispatched, end,
-                    {"batch_size": batch_size, "lane": entry.lane,
-                     "fast_lane": fast_lane}))
+                    {"batch_size": batch_size, "lane": entry.lane}))
         obs_trace.write_records(batch_spans)
-
-    def _try_fast_lane(self, model_id: str,
-                       live: List[QueuedRequest]) -> bool:
-        """Serve the whole batch from lookup tables; False on any miss.
-
-        Reads the model with :meth:`ModelStore.peek` (warm memory only —
-        a cold model should pay its disk load under the model lock, once)
-        and the imputer's read-only ``try_fast_path``, so this path takes
-        no lock and can run concurrently with a locked full forward on
-        the same model.
-        """
-        imputer = self.service.store.peek(model_id)
-        probe = getattr(imputer, "try_fast_path", None)
-        if not callable(probe):
-            return False
-        first_trace = next((entry.request.trace for entry in live
-                            if entry.request.trace is not None), None)
-        start = time.perf_counter()
-        try:
-            with obs_trace.activate(first_trace):
-                completed = probe([entry.request.data for entry in live])
-        except Exception:
-            # The fast lane is opportunistic: any failure (e.g. a
-            # structurally odd tensor) falls back to the locked path, which
-            # owns real error reporting — but a silently failing fast lane
-            # would look like a fusion-rate regression, so count it
-            # (``fast_lane_fallbacks`` in stats() extras) and leave a
-            # debug trace behind.
-            self.metrics.record_fast_lane_fallback()
-            logger.debug("fast lane miss for model %s; falling back to "
-                         "locked batch path", model_id, exc_info=True)
-            self._write_fast_lane_spans(live, start, hit=False)
-            return False
-        if completed is None:
-            self._write_fast_lane_spans(live, start, hit=False)
-            return False
-        end = time.perf_counter()
-        self._write_fast_lane_spans(live, start, hit=True)
-        share = (end - start) / len(live)
-        method = self.service.store.method_for(model_id) or \
-            getattr(imputer, "name", type(imputer).__name__)
-        for entry, tensor in zip(live, completed):
-            request = entry.request
-            result = ImputeResult(
-                request_id=entry.caller_id or str(request.request_id),
-                model_id=model_id,
-                method=method,
-                completed=tensor,
-                runtime_seconds=share,
-                latency_seconds=_latency(request, end, share),
-                from_batch=True,
-                fused=False,
-                fast_path=True,
-            )
-            entry.complete(result)
-            self.metrics.record_completion(result.latency_seconds,
-                                           fused=False, fast_path=True)
-        return True
-
-    def _write_fast_lane_spans(self, live: List[QueuedRequest],
-                               start: float, hit: bool) -> None:
-        """Record the fast-lane probe (hit or miss) on every traced entry."""
-        if not obs_trace.enabled():
-            return
-        end = time.perf_counter()
-        obs_trace.write_records([
-            obs_trace.span_record("gateway.fast_lane",
-                                  entry.request.trace.child(), start, end,
-                                  {"hit": hit, "batch_size": len(live)})
-            for entry in live if entry.request.trace is not None])
 
     def _fail_all(self, entries: List[QueuedRequest],
                   error: ServiceError) -> None:

@@ -165,3 +165,45 @@ class TestIntrospection:
             assert stats["completed"] == 2
         finally:
             gateway.close()
+
+    def test_gateway_batch_is_one_fused_rpc(self, router, monkeypatch):
+        from repro.cluster import ShardClient
+        from repro.core.config import DeepMVIConfig
+        from repro.gateway import Gateway, GatewayConfig
+
+        local = ImputationService()
+        model_id = local.fit(_panel(1, shape=(4, 60), missing=8),
+                             method="deepmvi", config=DeepMVIConfig.fast())
+        router.put_model(model_id, local.store.get(model_id),
+                         method="deepmvi")
+        windows = [_panel(seed, shape=(4, 60), missing=4)
+                   for seed in (2, 3, 4, 5)]
+        for window in windows:
+            local.submit(window, model_id=model_id)
+        expected = local.gather()
+
+        payloads = []
+        call = ShardClient.call
+
+        def spy(client, payload):
+            payloads.append(payload)
+            return call(client, payload)
+
+        monkeypatch.setattr(ShardClient, "call", spy)
+        gateway = Gateway(router, GatewayConfig(max_batch_size=8,
+                                                max_wait_ms=20.0),
+                          start=False)
+        try:
+            futures = gateway.submit_many(windows, model_id=model_id)
+            gateway.start()
+            served = [future.result(timeout=60.0) for future in futures]
+        finally:
+            gateway.close()
+
+        # The whole gateway batch crossed the wire as one serve RPC.
+        assert [len(payload["entries"]) for payload in payloads
+                if payload["op"] == "serve"] == [4]
+        for result, reference in zip(served, expected):
+            assert result.fused
+            assert np.array_equal(result.completed.values,
+                                  reference.completed.values)

@@ -1,20 +1,17 @@
 """Gateway integration tests for the precompute-and-lookup fast path.
 
-The gateway has two ways to touch the tables: the *no-lock fast lane*
-(an all-hit micro-batch served straight from the warm cache, no model
-lock) and the *locked lane* (mixed batches go through the normal fused
-forward, where the imputer still serves individual table hits and
-reports per-request ``fast_path`` flags).  These tests pin both down:
-exactly-once, in-order delivery, correct ``fused``/``fast_path`` flags
-per request, and telemetry in ``Gateway.stats()``.
+The gateway serves every micro-batch through one fused pass under the
+model lock; inside it the imputer answers each table hit per cell and
+reports per-request ``fast_path`` flags.  These tests pin down an
+all-hit batch and a mixed hit/miss batch: exactly-once, in-order
+delivery, correct ``fused``/``fast_path`` flags per request, answers
+bit-identical to direct serving, and telemetry in ``Gateway.stats()``.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import ImputationService
-from repro.baselines.registry import ImputerRegistry, MethodInfo
-from repro.baselines.simple import MeanImputer
 from repro.core.config import DeepMVIConfig
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.data.tensor import TimeSeriesTensor
@@ -96,7 +93,8 @@ def test_mixed_batch_hits_and_misses_in_one_fused_pass(deepmvi_service,
     assert 0.0 < stats["fast_path_hit_rate"] < 1.0
 
 
-def test_all_hit_batch_takes_the_no_lock_lane(deepmvi_service, incomplete):
+def test_all_hit_batch_is_served_from_the_tables(deepmvi_service,
+                                                  incomplete):
     service, model_id = deepmvi_service
     direct = service.impute(_copy_of(incomplete, "ref"), model_id=model_id)
 
@@ -112,10 +110,9 @@ def test_all_hit_batch_takes_the_no_lock_lane(deepmvi_service, incomplete):
 
     assert [r.completed.name for r in served] == ["copy-0", "copy-1"]
     for result in served:
-        # Fast lane: answered from the tables without the model lock, so
-        # nothing was fused — but it did ride a micro-batch.
+        # Every cell hit the tables inside the one fused pass.
         assert result.fast_path is True
-        assert result.fused is False
+        assert result.fused is True
         assert result.from_batch
         np.testing.assert_array_equal(result.completed.values,
                                       direct.completed.values)
@@ -125,36 +122,3 @@ def test_all_hit_batch_takes_the_no_lock_lane(deepmvi_service, incomplete):
     assert info["built"] is True
     assert info["build_seconds"] >= 0.0
     assert info["nbytes"] > 0
-
-
-class _ExplodingFastPath(MeanImputer):
-    """Fast-lane probe raises; serving still works."""
-
-    name = "boomfast"
-
-    def try_fast_path(self, tensors):
-        raise RuntimeError("probe failed")
-
-
-def test_fast_lane_fallbacks_are_counted(incomplete):
-    registry = ImputerRegistry()
-    registry.register(MethodInfo("boomfast", _ExplodingFastPath))
-    service = ImputationService(registry=registry)
-    model_id = service.fit(incomplete, method="boomfast")
-
-    gateway = Gateway(service, GatewayConfig(max_batch_size=8,
-                                             max_wait_ms=20.0),
-                      start=False)
-    futures = gateway.submit_many(
-        [_copy_of(incomplete, f"copy-{i}") for i in range(2)],
-        model_id=model_id)
-    gateway.start()
-    served = [future.result(timeout=60.0) for future in futures]
-    stats = gateway.stats()
-    gateway.close()
-
-    # The exploding probe fell back to the locked path — every request
-    # still answered — and the silent degradation is visible in stats().
-    assert all(np.isfinite(r.completed.values).all() for r in served)
-    assert stats["completed"] == 2
-    assert stats["fast_lane_fallbacks"] >= 1

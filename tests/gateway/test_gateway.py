@@ -169,6 +169,31 @@ class TestAdmissionControl:
             assert future.result(timeout=10.0).completed is not None
         gateway.close()
 
+    def test_sync_impute_timeout_bounds_the_wait_for_queue_space(
+            self, mean_service, incomplete):
+        service, model_id = mean_service
+        gateway = Gateway(service, GatewayConfig(max_queue_depth=1,
+                                                 admission="block"),
+                          start=False)
+        gateway.submit(incomplete, model_id=model_id)
+        raised = []
+
+        def call():
+            try:
+                gateway.impute(incomplete, model_id=model_id, timeout=0.2)
+            except Exception as error:
+                raised.append(error)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=2.0)
+        blocked = caller.is_alive()
+        gateway.close(drain=False)      # releases a still-blocked caller
+        caller.join(timeout=2.0)
+        assert not blocked, "impute(timeout=0.2) still blocked after 2 s"
+        assert len(raised) == 1 and isinstance(raised[0], QueueFullError)
+        assert gateway.stats()["rejected"] == 1
+
     def test_closed_gateway_fails_unserved_requests(self, mean_service,
                                                     incomplete):
         service, model_id = mean_service

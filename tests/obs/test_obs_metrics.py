@@ -89,7 +89,7 @@ class TestFeedSnapshot:
         base = dict(source="gateway", submitted=5, completed=4, qps=2.5,
                     latency_p95_seconds=0.25,
                     submitted_by_lane={"interactive": 3, "batch": 2},
-                    extras={"fast_lane_fallbacks": 1})
+                    extras={"refits": 1})
         base.update(overrides)
         return MetricsSnapshot(**base)
 
@@ -99,7 +99,7 @@ class TestFeedSnapshot:
         text = registry.render()
         assert "repro_gateway_submitted 5" in text
         assert "repro_gateway_qps 2.5" in text
-        assert "repro_gateway_fast_lane_fallbacks 1" in text
+        assert "repro_gateway_refits 1" in text
 
     def test_counters_vs_gauges(self):
         registry = MetricsRegistry()

@@ -99,30 +99,21 @@ class TestObsWireCompat:
     """The new obs-era fields must never disturb the legacy wire shape."""
 
     def test_legacy_key_order_is_preserved_with_obs_extras(self):
-        snap = ServingMetrics("gateway").snapshot()
+        snap = ServingMetrics("gateway").snapshot(
+            lane_depths={"interactive": 0, "batch": 0},
+            extras={"streams": 1})
         keys = list(snap.to_dict())
-        # the historical core keys come first, in emission order; extras
-        # (fast_lane_fallbacks and friends) strictly after them
+        # the historical core keys come first, in emission order, then the
+        # optional ones; the tier's own extras close the dict
         assert tuple(keys[:len(MetricsSnapshot._CORE_KEYS)]) == \
             MetricsSnapshot._CORE_KEYS
-        assert keys.index("fast_lane_fallbacks") >= \
-            len(MetricsSnapshot._CORE_KEYS)
+        assert keys[len(MetricsSnapshot._CORE_KEYS):] == \
+            ["queue_depth_by_lane", "streams"]
+        assert snap["streams"] == 1
 
     def test_to_dict_round_trips_through_json(self):
         snap = ServingMetrics("gateway").snapshot()
         assert json.loads(snap.to_json()) == snap.to_dict()
-
-    def test_cold_snapshot_obs_counters_are_zero(self):
-        snap = ServingMetrics("gateway").snapshot()
-        assert snap["fast_lane_fallbacks"] == 0
-
-    def test_fallback_counter_rides_in_extras(self):
-        metrics = ServingMetrics("gateway")
-        metrics.record_fast_lane_fallback()
-        metrics.record_fast_lane_fallback()
-        snap = metrics.snapshot()
-        assert snap.extras["fast_lane_fallbacks"] == 2
-        assert snap["fast_lane_fallbacks"] == 2
 
 
 class TestLiveSnapshots:

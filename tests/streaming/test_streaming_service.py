@@ -436,7 +436,7 @@ class TestStreamingFastPath:
             assert result.ok and result.refit
             # The fit built the tables: they are there when step() returns.
             model_id = svc._streams["plant-a"].model_id
-            imputer = svc.service.store.peek(model_id)
+            imputer = svc.service.store.get(model_id)
             assert imputer.fast_path_tables is not None
             assert imputer.fast_path_info()["built"] is True
             models.append(model_id)
