@@ -19,12 +19,20 @@ This benchmark measures that trade end to end on the same model weights:
   >= 2x in fast mode where fixed per-request overhead looms larger);
 * **hit-rate sweep** — mixes of table-hit and table-miss requests through
   :class:`repro.gateway.Gateway`, reading ``fast_path_hit_rate`` from
-  ``Gateway.stats()`` to show telemetry tracks the traffic mix.
+  ``Gateway.stats()`` to show telemetry tracks the traffic mix;
+* **miss serving** — table-miss requests through ``impute_many``, which
+  forwards each context and window once, against the per-cell forward
+  (``model.predict`` over ``build_batch`` of the same cells): the
+  ``miss_speedup`` (acceptance bar: **>= 2x** in both modes).  It runs a
+  default-architecture model on 300-step spans, where a context holds
+  all 30 windows of a series; under ``SERVING_CONFIG`` contexts hold at
+  most 8-16 windows and the ratio says little.
 
 Results land in ``benchmarks/results/fast_path.{txt,json}``.  In full
 mode the payload is also written to the repo-root ``BENCH_fast_path.json``
 trajectory artifact.  The CI bench-regression job re-runs this file in
-fast mode and gates ``fast_path.warm_speedup`` against
+fast mode and gates ``fast_path.warm_speedup`` and
+``fast_path.miss_speedup`` against
 ``benchmarks/baselines/fast_path_fast.json`` via
 ``benchmarks/check_regression.py`` (25% tolerance).
 """
@@ -37,6 +45,7 @@ from repro.api import ImputationService
 from repro.api.requests import ImputeRequest
 from repro.core.config import DeepMVIConfig
 from repro.core.fast_path import build_fast_path_tables
+from repro.core.imputer import DeepMVIImputer
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.data.tensor import TimeSeriesTensor
 from repro.gateway import Gateway, GatewayConfig
@@ -65,6 +74,14 @@ SCENARIO = MissingScenario("mcar", {"incomplete_fraction": 0.5,
                                     "block_size": 4})
 SWEEP_MIXES = (0.0, 0.5, 1.0)
 
+#: miss serving: a default-architecture model, fitted briefly, serving
+#: perturbed copies of a 300-step span (every cell a table miss)
+MISS_CONFIG = dict(max_epochs=1, min_epochs=1, samples_per_epoch=32,
+                   batch_size=16)
+MISS_STEPS = 300
+N_MISS_REQUESTS = 16
+MISS_SPEEDUP_FLOOR = 2.0
+
 
 def _throughput(fn, units_per_call: int) -> float:
     """Units/sec of ``fn``, timed over at least ``TIME_BUDGET`` seconds."""
@@ -86,9 +103,9 @@ def _copy_of(tensor, name):
                             mask=tensor.mask.copy(), name=name)
 
 
-def _perturbed(tensor, name):
+def _perturbed(tensor, name, shift=1.0):
     """Same shape, shifted values — guaranteed table miss."""
-    return TimeSeriesTensor(values=tensor.values + 1.0,
+    return TimeSeriesTensor(values=tensor.values + shift,
                             dimensions=list(tensor.dimensions),
                             mask=tensor.mask.copy(), name=name)
 
@@ -105,6 +122,36 @@ def _serve_all(service, model_id, traffic):
         for tensor in traffic:
             service.impute(ImputeRequest(model_id=model_id, data=tensor))
     return run
+
+
+def _miss_serving():
+    """Requests/sec of table-miss serving: fused ``impute_many`` vs per cell.
+
+    The per-cell forward gives every missing cell its own context and
+    window (``model.predict`` over ``build_batch`` of a request's cells);
+    ``impute_many`` forwards each distinct context and window once.
+    """
+    truth = bench_dataset(DATASET, seed=0, length=MISS_STEPS)
+    incomplete, _ = apply_scenario(truth, SCENARIO, seed=0)
+    imputer = DeepMVIImputer(config=DeepMVIConfig(**MISS_CONFIG))
+    imputer.fit(incomplete)
+    traffic = [_perturbed(incomplete, f"miss-{index}", shift=1.0 + index)
+               for index in range(N_MISS_REQUESTS)]
+
+    def per_cell():
+        for tensor in traffic:
+            plan = imputer._plan(tensor)
+            rows, times = plan.cells.T
+            plan.matrix[rows, times] = imputer.model.predict(
+                plan.context.build_batch(rows, times))
+            plan.complete()
+
+    per_cell_rps = _throughput(per_cell, len(traffic))
+    fused_rps = _throughput(lambda: imputer.impute_many(traffic),
+                            len(traffic))
+    assert not any(info["fast_path_hits"]
+                   for info in imputer.last_impute_info)
+    return fused_rps, per_cell_rps
 
 
 def test_fast_path_throughput(results_dir):
@@ -191,6 +238,17 @@ def test_fast_path_throughput(results_dir):
         else:
             assert 0.0 < hit_rate < 1.0
 
+    # -- miss serving: per-window forward vs per-cell forward ----------- #
+    miss_rps, per_cell_rps = _miss_serving()
+    miss_speedup = miss_rps / max(per_cell_rps, 1e-9)
+    metrics["fast_path.miss_requests_per_sec"] = miss_rps
+    metrics["fast_path.per_cell_requests_per_sec"] = per_cell_rps
+    metrics["fast_path.miss_speedup"] = miss_speedup
+    lines.append(
+        f"misses   per-cell forward {per_cell_rps:>8.1f} req/sec   "
+        f"impute_many {miss_rps:>8.1f} req/sec   "
+        f"speedup {miss_speedup:.2f}x")
+
     payload = {
         "benchmark": "fast_path",
         "fast_mode": is_fast(),
@@ -199,12 +257,14 @@ def test_fast_path_throughput(results_dir):
             "n_requests": N_REQUESTS,
             "sweep_mixes": list(SWEEP_MIXES),
             "scenario": SCENARIO.describe(),
+            "miss_requests": N_MISS_REQUESTS,
+            "miss_steps": MISS_STEPS,
         },
         "metrics": {key: round(float(value), 4)
                     for key, value in sorted(metrics.items())},
-        # Dimensionless ratio gated by benchmarks/check_regression.py:
+        # Dimensionless ratios gated by benchmarks/check_regression.py:
         # stable across host speeds, unlike absolute requests/sec.
-        "gate": ["fast_path.warm_speedup"],
+        "gate": ["fast_path.warm_speedup", "fast_path.miss_speedup"],
     }
     emit(results_dir, "fast_path",
          "Fast-path serving: precomputed lookup tables vs full forward",
@@ -222,3 +282,8 @@ def test_fast_path_throughput(results_dir):
     assert warm_speedup >= SPEEDUP_FLOOR, (
         f"fast path only {warm_speedup:.2f}x the full forward "
         f"(bar: {SPEEDUP_FLOOR}x)")
+    # Miss serving forwards each context and window once, so it must beat
+    # the per-cell forward by 2x in both modes.
+    assert miss_speedup >= MISS_SPEEDUP_FLOOR, (
+        f"miss serving only {miss_speedup:.2f}x the per-cell forward "
+        f"(bar: {MISS_SPEEDUP_FLOOR}x)")

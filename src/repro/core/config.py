@@ -65,6 +65,8 @@ class DeepMVIConfig:
     verbose: bool = False
 
     # -- inference -------------------------------------------------------- #
+    #: rows per chunk of every serving stage (contexts and windows of the
+    #: per-window stages, cells of the per-cell one) and of the table build
     impute_batch_size: int = 256
     #: fast-path lookup tables (:mod:`repro.core.fast_path`): built with
     #: the model at fit time and exact for it; ``False`` serves every

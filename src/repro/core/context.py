@@ -10,13 +10,15 @@ masks).  This module owns the bookkeeping that turns a
 * mapping flat series rows to per-dimension member indices and sibling rows;
 * cropping a bounded context of windows around each target;
 * gathering sibling values at the target time, honouring both the dataset's
-  availability and the per-sample synthetic missing cuboid used in training.
+  availability and the per-sample synthetic missing cuboid used in training;
+* collating serving requests so that each distinct context and window is
+  forwarded once (:func:`collate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,15 +27,22 @@ from repro.data.tensor import TimeSeriesTensor
 
 @dataclass
 class Batch:
-    """Inputs for one forward pass of :class:`repro.core.model.DeepMVIModel`."""
+    """Inputs for one forward pass of :class:`repro.core.model.DeepMVIModel`.
 
-    #: (B, C, w) context-window values (missing -> 0)
+    Three kinds of rows: contexts (``window_values`` and its siblings),
+    windows (``target_window``) and target cells (everything else).
+    :meth:`DatasetContext.build_batch` gives every cell its own window
+    and context; :func:`collate` shares them between the cells of one
+    request and maps rows through ``context_index`` and ``window_index``.
+    """
+
+    #: (N, C, w) context-window values (missing -> 0)
     window_values: np.ndarray
-    #: (B, C, w) availability of the context windows
+    #: (N, C, w) availability of the context windows
     window_avail: np.ndarray
-    #: (B, C) absolute window index of each context window
+    #: (N, C) absolute window index of each context window
     absolute_index: np.ndarray
-    #: (B,) index within the context of the window containing the target
+    #: (W,) index within its context of each window
     target_window: np.ndarray
     #: (B,) offset of the target inside its window
     target_offset: np.ndarray
@@ -51,46 +60,89 @@ class Batch:
     series_rows: np.ndarray = None
     #: (B,) target time index
     target_times: np.ndarray = None
+    #: (W,) context row of each window; None when window ``i`` is row ``i``
+    context_index: Optional[np.ndarray] = None
+    #: (B,) window row of each cell; None when cell ``i`` is window ``i``
+    window_index: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
-        return self.window_values.shape[0]
+        """Number of target cells."""
+        return self.target_offset.shape[0]
 
 
-def concatenate_batches(batches: Sequence[Batch]) -> Batch:
-    """Stack compatible batches along the sample axis into one fused batch.
+def collate(pieces: Iterable[Batch]) -> Batch:
+    """One serving batch that forwards each context and window once.
 
-    Batches are compatible when their non-batch shapes agree (same context
-    width, window size and per-dimension sibling counts) — true whenever
-    they come from contexts over same-shaped tensors with one model's
-    configuration.  Used by the fused serving path to run many requests'
-    missing cells through a single forward call.
+    Each piece is one request's cells as :meth:`DatasetContext.build_batch`
+    assembles them, one context and one window per cell.  The temporal
+    transformer's keys and values depend only on a context (series row,
+    context start) and its pooled hidden only on a window (series row,
+    window), so the result keeps one row per distinct context and window
+    of each piece.  Pieces never share rows: two requests can agree on a
+    (row, window) and still differ in their data.  Contexts come out in
+    (piece, row, start) order, windows in (piece, row, window) order and
+    cells in input order.
+
+    Pieces are compacted one at a time, so a generator of pieces keeps
+    only one piece's per-cell windows alive.  Pieces must have compatible
+    shapes (same context width, window size and sibling counts).
     """
-    if not batches:
-        raise ValueError("cannot concatenate zero batches")
-    if len(batches) == 1:
-        return batches[0]
-    first = batches[0]
-    n_dims = len(first.sibling_member_indices)
+    contexts: List[tuple] = []
+    windows: List[tuple] = []
+    cells: List[Batch] = []
+    window_rows: List[np.ndarray] = []
+    n_contexts = n_windows = 0
+    for piece in pieces:
+        if piece.size == 0:
+            continue
+        rows = piece.series_rows
+        start = piece.absolute_index[:, 0]
+        window = start + piece.target_window
+        span = int(window.max()) + 1              # start <= window < span
+        _, first_context, cell_context = np.unique(
+            rows * span + start, return_index=True, return_inverse=True)
+        _, first_window, cell_window = np.unique(
+            rows * span + window, return_index=True, return_inverse=True)
+        contexts.append((piece.window_values[first_context],
+                         piece.window_avail[first_context],
+                         piece.absolute_index[first_context]))
+        windows.append((piece.target_window[first_window],
+                        cell_context[first_window] + n_contexts))
+        window_rows.append(cell_window + n_windows)
+        cells.append(replace(piece, window_values=None, window_avail=None,
+                             absolute_index=None, target_window=None))
+        n_contexts += first_context.shape[0]
+        n_windows += first_window.shape[0]
+    if not cells:
+        raise ValueError("cannot collate zero cells")
+
+    def stacked(name: str) -> np.ndarray:
+        return np.concatenate([getattr(piece, name) for piece in cells])
+
+    def stacked_dims(name: str) -> List[np.ndarray]:
+        return [np.concatenate([getattr(piece, name)[dim] for piece in cells])
+                for dim in range(len(getattr(cells[0], name)))]
+
+    values, avail, absolute = (np.concatenate(parts)
+                               for parts in zip(*contexts))
+    target_window, context_index = (np.concatenate(parts)
+                                    for parts in zip(*windows))
     return Batch(
-        window_values=np.concatenate([b.window_values for b in batches]),
-        window_avail=np.concatenate([b.window_avail for b in batches]),
-        absolute_index=np.concatenate([b.absolute_index for b in batches]),
-        target_window=np.concatenate([b.target_window for b in batches]),
-        target_offset=np.concatenate([b.target_offset for b in batches]),
-        member_indices=np.concatenate([b.member_indices for b in batches]),
-        sibling_member_indices=[
-            np.concatenate([b.sibling_member_indices[dim] for b in batches])
-            for dim in range(n_dims)],
-        sibling_values=[
-            np.concatenate([b.sibling_values[dim] for b in batches])
-            for dim in range(n_dims)],
-        sibling_avail=[
-            np.concatenate([b.sibling_avail[dim] for b in batches])
-            for dim in range(n_dims)],
-        targets=np.concatenate([b.targets for b in batches]),
-        series_rows=np.concatenate([b.series_rows for b in batches]),
-        target_times=np.concatenate([b.target_times for b in batches]),
+        window_values=values,
+        window_avail=avail,
+        absolute_index=absolute,
+        target_window=target_window,
+        target_offset=stacked("target_offset"),
+        member_indices=stacked("member_indices"),
+        sibling_member_indices=stacked_dims("sibling_member_indices"),
+        sibling_values=stacked_dims("sibling_values"),
+        sibling_avail=stacked_dims("sibling_avail"),
+        targets=stacked("targets"),
+        series_rows=stacked("series_rows"),
+        target_times=stacked("target_times"),
+        context_index=context_index,
+        window_index=np.concatenate(window_rows),
     )
 
 
@@ -297,22 +349,21 @@ class DatasetContext:
 
         start, context = self.context_span(target_times)
         offsets = start[:, None] + np.arange(context)[None, :]             # (B, C)
-        # One fancy-indexing gather per array, straight from windowed views
-        # of the padded arrays — no (B, T_pad) intermediate.  The views are
-        # O(1) reshapes of contiguous data, recomputed per call so the
-        # context never carries duplicate buffers (pickling a stored view
-        # would serialise the full array twice).
-        matrix_windows = self.padded_matrix.reshape(
-            self.n_series, self.n_windows, w)
-        window_values = matrix_windows[series_rows[:, None], offsets]
+        # One np.take per array over (series, window) rows of the padded
+        # arrays — no (B, T_pad) intermediate.  The row views are O(1)
+        # reshapes of contiguous data, recomputed per call so the context
+        # never carries duplicate buffers (pickling a stored view would
+        # serialise the full array twice).
+        flat = series_rows[:, None] * self.n_windows + offsets          # (B, C)
+        window_values = np.take(self.padded_matrix.reshape(-1, w), flat,
+                                axis=0)
         if series_avail_override is not None:
             rows = np.arange(batch)[:, None]
             window_avail = series_avail_override.reshape(
                 batch, self.n_windows, w)[rows, offsets]
         else:
-            avail_windows = self.padded_avail.reshape(
-                self.n_series, self.n_windows, w)
-            window_avail = avail_windows[series_rows[:, None], offsets]
+            window_avail = np.take(self.padded_avail.reshape(-1, w), flat,
+                                   axis=0)
         target_window = (target_times // w) - start
         target_offset = target_times % w
 

@@ -1,11 +1,15 @@
 """Precompute-and-lookup fast path for steady-state DeepMVI serving.
 
-After PR 4/5 the transformer forward pass is the dominant cost of every
-served request.  This module removes it from the steady-state path
-entirely, borrowing the ``fast_regressor`` idiom from MuyGPyS: at fit /
-refit time, precompute per-model lookup tables; at serve time, answer any
-request whose (series, window) keys hit the tables with pure NumPy gathers
-plus one small matmul, and fall back to the full fused forward on a miss.
+A cell that misses the tables runs the serving forward of
+:meth:`~repro.core.model.DeepMVIModel.predict` in three stages: once per
+distinct context, once per distinct window, once per cell.  The tables
+memoise the first two, borrowing the ``fast_regressor`` idiom from
+MuyGPyS: at fit / refit time :func:`build_fast_path_tables` runs stages
+1-2 over every fitted window that holds a missing cell and stores their
+results; at serve time a cell whose (series, window) keys hit the tables
+skips to the shared per-cell step
+(:func:`~repro.core.model.serve_cells`): NumPy gathers plus one small
+matmul.  Every other cell goes through the forward.
 
 Why the tables are exact, not approximate — every signal of Eqn. 6
 factorises over keys that can be enumerated at fit time:
@@ -22,7 +26,8 @@ factorises over keys that can be enumerated at fit time:
   on the sibling values at the target *(series, time)* cell, with the
   learned embeddings and the top-L pre-selection frozen after training.
   They are precomputed per fitted-missing cell.
-* the output layer is a frozen affine map over the concatenated signals.
+* the output layer is a frozen affine map over the concatenated signals,
+  applied by the same per-row reduction as on a miss.
 
 A request hits the table for cell ``(r, t)`` when its *normalised* data
 agrees with the fitted tensor on every window the prediction reads:
@@ -58,16 +63,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.context import DatasetContext
-from repro.core.fine_grained import fine_grained_signal
+from repro.core.context import DatasetContext, collate
+from repro.core.model import row_chunks, serve_cells
 from repro.obs.trace import stage
 
 __all__ = ["FastPathTables", "build_fast_path_tables", "verify_fast_path"]
-
-
-def _chunks(total: int, size: int):
-    for start in range(0, total, size):
-        yield start, min(start + size, total)
 
 
 @dataclass
@@ -188,7 +188,11 @@ class FastPathTables:
 
     def lookup(self, context: DatasetContext, cells: np.ndarray,
                match: np.ndarray):
-        """Serve the table-hit subset of ``cells`` with gathers + one matmul.
+        """Serve the table-hit subset of ``cells``: gathers + the cell step.
+
+        Hits skip stages 1-2 of :meth:`DeepMVIModel.predict` and run its
+        stage 3, :func:`~repro.core.model.serve_cells`, on the stored
+        signals, so a hit gives the miss path's answer bit for bit.
 
         Parameters
         ----------
@@ -236,23 +240,14 @@ class FastPathTables:
             if not hits.any():
                 return hits, predictions
 
-            features = []
-            if self.hidden is not None:
-                offsets = times[hits] % self.window
-                hidden = self.hidden[wslot[hits]]               # (Bh, p)
-                # Eqn. 14 for the target offset only: the one small matmul.
-                raw = np.matmul(hidden[:, None, :],
-                                self.position_decoder[offsets])[:, 0, :]
-                raw = raw + self.position_bias[offsets]
-                features.append(raw * (raw > 0))                # exact relu
-            if self.fg is not None:
-                features.append(self.fg[wslot[hits]][:, None])
-            if self.kr is not None:
-                features.append(self.kr[cslot[hits]])
-            combined = features[0] if len(features) == 1 \
-                else np.concatenate(features, axis=-1)
-            predictions[hits] = \
-                (combined @ self.output_weight + self.output_bias)[:, 0]
+            windows = wslot[hits]
+            predictions[hits] = serve_cells(
+                None if self.hidden is None else self.hidden[windows],
+                times[hits] % self.window,
+                None if self.fg is None else self.fg[windows],
+                None if self.kr is None else self.kr[cslot[hits]],
+                self.position_decoder, self.position_bias,
+                self.output_weight, self.output_bias)
             return hits, predictions
 
     # ------------------------------------------------------------------ #
@@ -324,18 +319,17 @@ def build_fast_path_tables(model, context: DatasetContext,
                            batch_size: int = 256) -> FastPathTables:
     """Precompute the serving tables for a fitted model + context.
 
-    Runs the *real* modules (under ``no_grad``, in ``impute_batch_size``
-    chunks) over every fitted-missing cell, so the stored signals are the
-    very values the full forward would compute — the source of the
-    bit-comparable equivalence.  Cost is one imputation sweep's worth of
-    forward passes, paid once per fit instead of once per request.
+    Fills the per-window rows with stages 1-2 of
+    :meth:`DeepMVIModel.predict` (:meth:`DeepMVIModel.window_signals`)
+    and the per-cell kernel-regression rows with the real module, in
+    ``impute_batch_size`` chunks, so the tables memoise exactly what a
+    miss computes: a hit then runs only the shared per-cell step.  Cost
+    is one imputation sweep's worth of forward work, paid once per fit
+    instead of once per request.
     """
     from repro.nn.tensor import no_grad
 
     start_clock = time.perf_counter()
-    n_filters = None
-    if model.temporal_transformer is not None:
-        n_filters = model.temporal_transformer.n_filters
 
     missing = np.argwhere(context.avail == 0)
     missing = missing[missing[:, 1] < context.n_time]
@@ -358,37 +352,33 @@ def build_fast_path_tables(model, context: DatasetContext,
     n_pairs = rep_rows.shape[0]
     window_slot[rep_rows, rep_times // context.window] = np.arange(n_pairs)
 
-    hidden = None
-    fg = None
-    use_fg = bool(model.config.use_fine_grained)
-    if model.temporal_transformer is not None:
-        hidden = np.zeros((n_pairs, n_filters))
-    if use_fg:
-        fg = np.zeros(n_pairs)
-    if n_pairs and (hidden is not None or use_fg):
-        for lo, hi in _chunks(n_pairs, batch_size):
-            batch = context.build_batch(rep_rows[lo:hi], rep_times[lo:hi])
-            if hidden is not None:
-                with no_grad():
-                    pooled = model.temporal_transformer.pooled_hidden(
-                        batch.window_values, batch.window_avail,
-                        batch.absolute_index, batch.target_window)
-                hidden[lo:hi] = pooled.data
-            if use_fg:
-                fg[lo:hi] = fine_grained_signal(
-                    batch.window_values, batch.window_avail,
-                    batch.target_window)[:, 0]
+    hidden = fg = None
+    if n_pairs:
+        # Stages 1-2 of the serving forward, one representative cell per
+        # pair: every context is encoded once for all of its windows.
+        batch = collate(
+            context.build_batch(rep_rows[start:start + batch_size],
+                                rep_times[start:start + batch_size])
+            for start in range(0, n_pairs, batch_size))
+        hidden, fg = model.window_signals(batch)
+        hidden = None if hidden is None else hidden[batch.window_index]
+        fg = None if fg is None else fg[batch.window_index]
+    else:
+        if model.temporal_transformer is not None:
+            hidden = np.zeros((0, model.temporal_transformer.output_dim))
+        if model.config.use_fine_grained:
+            fg = np.zeros(0)
 
     kr = None
     if model.kernel_regression is not None:
         kr = np.zeros((n_cells, model.kernel_regression.output_dim))
-        for lo, hi in _chunks(n_cells, batch_size):
-            batch = context.build_batch(rows[lo:hi], times[lo:hi])
+        for chunk in row_chunks(n_cells, batch_size):
+            batch = context.build_batch(rows[chunk], times[chunk])
             with no_grad():
                 hkr = model.kernel_regression(
                     batch.member_indices, batch.sibling_member_indices,
                     batch.sibling_values, batch.sibling_avail)
-            kr[lo:hi] = hkr.data
+            kr[chunk] = hkr.data
 
     transformer = model.temporal_transformer
     tables = FastPathTables(

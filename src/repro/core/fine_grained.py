@@ -9,30 +9,37 @@ and is most useful for very small missing blocks (Figure 8 of the paper).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
 def fine_grained_signal(window_values: np.ndarray, window_avail: np.ndarray,
-                        target_window: np.ndarray) -> np.ndarray:
+                        target_window: np.ndarray,
+                        context_index: Optional[np.ndarray] = None,
+                        ) -> np.ndarray:
     """Masked mean of the target window's observed values.
 
     Parameters
     ----------
     window_values:
-        ``(B, C, w)`` context-window values (missing entries may hold
+        ``(N, C, w)`` context-window values (missing entries may hold
         anything; they are excluded through the mask).
     window_avail:
-        ``(B, C, w)`` availability mask.
+        ``(N, C, w)`` availability mask.
     target_window:
         ``(B,)`` index within the context of the window containing the
         target position.
+    context_index:
+        Optional ``(B,)`` context row of each target; by default target
+        ``i`` reads row ``i``.
 
     Returns
     -------
     ``(B, 1)`` array; zero when the whole target window is missing.
     """
-    batch = window_values.shape[0]
-    rows = np.arange(batch)
+    rows = np.arange(target_window.shape[0]) if context_index is None \
+        else context_index
     values = window_values[rows, target_window, :]
     avail = window_avail[rows, target_window, :]
     counts = avail.sum(axis=-1)

@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.baselines.base import BaseImputer
 from repro.core.config import DeepMVIConfig
-from repro.core.context import (
-    ContextStructure,
-    DatasetContext,
-    concatenate_batches,
-)
+from repro.core.context import ContextStructure, DatasetContext, collate
 from repro.core.fast_path import FastPathTables, build_fast_path_tables
 from repro.core.model import DeepMVIModel
 from repro.core.sampling import MissingShapeSampler
@@ -137,20 +133,26 @@ class DeepMVIImputer(BaseImputer):
         return self.impute_many([tensor])[0]
 
     def impute_many(self, tensors) -> list:
-        """Fill the missing cells of many tensors with fused forward calls.
+        """Fill the missing cells of many tensors in one fused forward.
 
-        The serving hot path: instead of running one forward pass per tensor
-        (per request), the missing-cell batches of every tensor whose batch
-        structure matches (same context width and sibling counts — always
-        true for same-shaped tensors) are concatenated and pushed through
-        the network together, so a micro-batched ``gather()`` sweep costs a
-        handful of forward calls rather than one per request.  Results come
-        back in input order; each entry of ``tensors`` may be ``None`` for
-        the fitted tensor.
+        The serving hot path.  Cells the fast-path tables cover are
+        answered from them.  The remaining cells of every tensor whose
+        batch structure matches (same context width and sibling counts,
+        always true for same-shaped tensors) go through one
+        :meth:`DeepMVIModel.predict` call: :func:`collate` keeps one row
+        per distinct (request, series row, context start) and (request,
+        series row, window), so each context is encoded and each window
+        attended once, however many of its cells are missing and however
+        many requests share the call.  A cell's answer does not depend on
+        which other cells share the call.  Results come back in input
+        order; each entry of ``tensors`` may be ``None`` for the fitted
+        tensor.
         """
         if self.model is None or self.context is None:
             raise NotFittedError("call fit() before impute()")
-        self.model.eval()
+        if self.model.training:
+            # Module.eval walks every submodule: once, not per request.
+            self.model.eval()
 
         plans = []
         for tensor in tensors:
@@ -193,45 +195,27 @@ class DeepMVIImputer(BaseImputer):
 
         batch_size = self.config.impute_batch_size
         for indices in groups.values():
-            # Flat (plan, row, t) work list over the whole group, chunked to
-            # impute_batch_size; one forward call per chunk.
-            stream = [(index, plans[index].cells) for index in indices
+            misses = [plans[index] for index in indices
                       if plans[index].cells.shape[0]]
-            # Walk the concatenated cell stream in chunk-sized strides,
-            # slicing per plan so each chunk knows where to scatter back.
-            chunk: list = []
-            chunk_fill = 0
-            flushes = []
-            for index, cells in stream:
-                start = 0
-                total = cells.shape[0]
-                while start < total:
-                    take = min(batch_size - chunk_fill, total - start)
-                    chunk.append((index, start, start + take))
-                    chunk_fill += take
-                    start += take
-                    if chunk_fill == batch_size:
-                        flushes.append(chunk)
-                        chunk, chunk_fill = [], 0
-            if chunk:
-                flushes.append(chunk)
-            for chunk in flushes:
-                pieces = []
-                for index, start, stop in chunk:
-                    plan = plans[index]
-                    pieces.append(plan.context.build_batch(
-                        series_rows=plan.cells[start:stop, 0],
-                        target_times=plan.cells[start:stop, 1]))
-                with stage("serve.forward", chunks=len(chunk)):
-                    predictions = self.model.predict(
-                        concatenate_batches(pieces))
-                offset = 0
-                for index, start, stop in chunk:
-                    plan = plans[index]
-                    rows, times = plan.cells[start:stop].T
-                    plan.matrix[rows, times] = \
-                        predictions[offset:offset + stop - start]
-                    offset += stop - start
+            if not misses:
+                continue
+            # Each request's cells in impute_batch_size pieces; collate
+            # keys contexts and windows per piece, so requests never
+            # share a row, and compacts each piece as it is built.
+            batch = collate(
+                plan.context.build_batch(
+                    series_rows=plan.cells[start:start + batch_size, 0],
+                    target_times=plan.cells[start:start + batch_size, 1])
+                for plan in misses
+                for start in range(0, plan.cells.shape[0], batch_size))
+            with stage("serve.forward", cells=batch.size):
+                predictions = self.model.predict(batch)
+            offset = 0
+            for plan in misses:
+                rows, times = plan.cells.T
+                plan.matrix[rows, times] = \
+                    predictions[offset:offset + rows.shape[0]]
+                offset += rows.shape[0]
 
         return [plan.complete() for plan in plans]
 

@@ -16,6 +16,12 @@ time index from the rest of its own series:
    the target window (Eqns. 13–14), from which the target position's vector
    is selected.
 
+Steps 1-2 depend only on a target's context and step 3 only on its window,
+so :meth:`TemporalTransformer.pooled_hidden` runs them as two stages,
+:meth:`~TemporalTransformer.encode_contexts` and
+:meth:`~TemporalTransformer.attend`: serving encodes each distinct context
+once and attends each distinct window once.
+
 Implementation note: the paper normalises attention scores by the sum of raw
 inner products (Eqn. 11).  This reproduction uses a masked softmax of scaled
 inner products instead, which implements the same "ignore missing windows,
@@ -25,7 +31,7 @@ inner products are negative.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +39,19 @@ from repro.nn import functional as F
 from repro.nn.layers import Linear, Module, Parameter
 from repro.nn import init
 from repro.nn.tensor import Tensor
+
+
+class ContextEncoding(NamedTuple):
+    """Output of :meth:`TemporalTransformer.encode_contexts`."""
+
+    #: (N, H, C, 2p) per-head query of every context window
+    queries: Tensor
+    #: (N, H, C, 2p) per-head key of every context window
+    keys: Tensor
+    #: (N, H, C, p) per-head value of every context window
+    values: Tensor
+    #: (N, C) 1 where a context window has no missing value
+    fully_available: np.ndarray
 
 
 class TemporalTransformer(Module):
@@ -130,14 +149,36 @@ class TemporalTransformer(Module):
         return self.decode_offset(hidden, target_offset)
 
     def pooled_hidden(self, window_values: np.ndarray, window_avail: np.ndarray,
-                      absolute_index: np.ndarray,
-                      target_window: np.ndarray) -> Tensor:
+                      absolute_index: np.ndarray, target_window: np.ndarray,
+                      context_index: Optional[np.ndarray] = None) -> Tensor:
         """Attention-pooled hidden vector per target *window* (Eqns. 7-13).
 
-        Everything up to (but excluding) the per-offset output transform:
-        the result depends only on the target's (series, window) pair, not
-        on the offset within the window — which is what makes it
-        precomputable per window by :mod:`repro.core.fast_path`.
+        Everything up to (but excluding) the per-offset output transform,
+        as the composition of two stages: :meth:`encode_contexts` over
+        every row of ``window_values``, then :meth:`attend` for every
+        entry of ``target_window``.  The result depends only on the
+        target's (series, window) pair, not on the offset within the
+        window — which is what lets serving compute it once per window
+        and :mod:`repro.core.fast_path` store it per window.
+
+        With ``context_index=None`` row ``i`` is target ``i``'s own
+        context (the training batch).  Otherwise the rows are distinct
+        contexts and window ``i`` attends within row ``context_index[i]``,
+        so each context is encoded once however many of its windows are
+        asked for.  Either way every window runs the same operations.
+        """
+        encoded = self.encode_contexts(window_values, window_avail,
+                                       absolute_index)
+        return self.attend(encoded, target_window, context_index)
+
+    def encode_contexts(self, window_values: np.ndarray,
+                        window_avail: np.ndarray,
+                        absolute_index: np.ndarray) -> ContextEncoding:
+        """Per-context stage (Eqns. 7-10): what all windows of a context share.
+
+        Window features, neighbour context, per-head queries, keys and
+        values of every context window, plus each window's key
+        availability (1 when the window has no missing value).
         """
         batch, context, window = window_values.shape
         if window != self.window:
@@ -147,12 +188,12 @@ class TemporalTransformer(Module):
         values_t = Tensor(masked_values)
 
         # Eqn. 7 — window features Y_j.
-        y = values_t @ self.conv_weight + self.conv_bias          # (B, C, p)
+        y = values_t @ self.conv_weight + self.conv_bias          # (N, C, p)
 
         # Left/right neighbour features within the context.
         y_prev = self._shift(y, direction=1)                      # Y_{j-1}
         y_next = self._shift(y, direction=-1)                     # Y_{j+1}
-        positional = self._positional_slice(absolute_index)       # (B, C, 2p)
+        positional = self._positional_slice(absolute_index)       # (N, C, 2p)
         if self.use_context_window:
             context_features = F.concatenate([y_prev, y_next], axis=-1) + Tensor(positional)
         else:
@@ -160,23 +201,42 @@ class TemporalTransformer(Module):
                 positional, (batch, context, self.context_dim)).copy())
 
         # Eqns. 8-10, all heads at once.
-        queries = self.query_proj(context_features)               # (B, C, H*2p)
-        keys = self.key_proj(context_features)                    # (B, C, H*2p)
-        values = self.value_proj(y)                               # (B, C, H*p)
+        queries = self.query_proj(context_features)               # (N, C, H*2p)
+        keys = self.key_proj(context_features)                    # (N, C, H*2p)
+        values = self.value_proj(y)                               # (N, C, H*p)
 
-        queries = self._split_heads(queries, self.context_dim)    # (B, H, C, 2p)
-        keys = self._split_heads(keys, self.context_dim)
-        values = self._split_heads(values, self.n_filters)        # (B, H, C, p)
+        return ContextEncoding(
+            queries=self._split_heads(queries, self.context_dim),  # (N, H, C, 2p)
+            keys=self._split_heads(keys, self.context_dim),
+            values=self._split_heads(values, self.n_filters),      # (N, H, C, p)
+            fully_available=window_avail.min(axis=-1),             # (N, C)
+        )
+
+    def attend(self, encoded: ContextEncoding, target_window: np.ndarray,
+               context_index: Optional[np.ndarray] = None) -> Tensor:
+        """Per-window stage (Eqns. 11-13): target query, attention, decode.
+
+        ``target_window`` and ``context_index`` as in
+        :meth:`pooled_hidden`.  A window gathers its context's keys and
+        values, so callers bound the number of windows per call.
+        """
+        batch = target_window.shape[0]
+        keys, values = encoded.keys, encoded.values
+        if context_index is None:
+            rows = np.arange(batch)
+        else:
+            rows = context_index
+            keys, values = keys[rows], values[rows]
 
         # Keys of windows with any missing value are suppressed (Eqn. 9) and
         # the target window never attends to itself.
-        fully_available = window_avail.min(axis=-1)                # (B, C)
-        attend_mask = fully_available.copy()
+        attend_mask = encoded.fully_available[rows]                # (B, C)
         attend_mask[np.arange(batch), target_window] = 0.0
         attention_mask = attend_mask[:, None, None, :]             # (B, 1, 1, C)
 
         # Query of the target window only.
-        target_query = self._gather_window(queries, target_window)  # (B, H, 1, 2p)
+        target_query = self._gather_window(encoded.queries, rows,
+                                           target_window)          # (B, H, 1, 2p)
 
         pooled, _ = F.batched_attention(target_query, keys, values, attention_mask)
         pooled = pooled.reshape(batch, self.n_heads * self.n_filters)  # Eqn. 12
@@ -208,10 +268,11 @@ class TemporalTransformer(Module):
         return x.reshape(batch, context, self.n_heads, head_dim).transpose(0, 2, 1, 3)
 
     @staticmethod
-    def _gather_window(x: Tensor, window_index: np.ndarray) -> Tensor:
-        """Select one context position per sample: (B, H, C, d) -> (B, H, 1, d)."""
-        batch = x.shape[0]
-        selected = x[np.arange(batch), :, window_index, :]          # (B, H, d)
+    def _gather_window(x: Tensor, rows: np.ndarray,
+                       window_index: np.ndarray) -> Tensor:
+        """One context position per target: (N, H, C, d) -> (B, H, 1, d)."""
+        batch = rows.shape[0]
+        selected = x[rows, :, window_index, :]                      # (B, H, d)
         return selected.reshape(batch, x.shape[1], 1, x.shape[3])
 
     @staticmethod

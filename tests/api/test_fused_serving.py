@@ -47,6 +47,32 @@ class TestImputeMany:
         for left, right in zip(sequential, fused):
             np.testing.assert_array_equal(left.values, right.values)
 
+    def test_answer_does_not_depend_on_fused_neighbours(self, small_panel):
+        """Odd cell counts: a cell's answer is the same fused or alone.
+
+        BLAS matrix-vector products compute rows in blocks of four, so an
+        output layer applied as ``(B, in) @ (in, 1)`` gave a cell another
+        answer when the number of cells sharing its call changed.
+        """
+        fitted_missing = np.zeros(small_panel.values.shape, dtype=bool)
+        fitted_missing[:4, 30:38] = True
+        imputer = DeepMVIImputer(config=DeepMVIConfig.fast(),
+                                 auto_window=False)
+        imputer.fit(small_panel.with_missing(fitted_missing))
+        rng = np.random.default_rng(3)
+        tensors = []
+        for count in (1, 2, 3, 5, 6, 7, 9, 13):
+            start = int(rng.integers(0, small_panel.n_time - 40))
+            span = small_panel.slice_time(start, start + 40)
+            hidden = np.zeros(span.values.size, dtype=bool)
+            hidden[rng.choice(hidden.size, size=count, replace=False)] = True
+            tensors.append(span.with_missing(
+                hidden.reshape(span.values.shape)))
+        fused = imputer.impute_many(tensors)
+        for tensor, many in zip(tensors, fused):
+            np.testing.assert_array_equal(many.values,
+                                          imputer.impute(tensor).values)
+
     def test_none_means_fitted_tensor(self, fitted_deepmvi):
         np.testing.assert_array_equal(
             fitted_deepmvi.impute().values,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.context import DatasetContext
+from repro.core.context import DatasetContext, collate
 from repro.data.missing import MissingScenario, apply_scenario
 
 
@@ -145,3 +145,50 @@ class TestBatches:
         # Every sibling is also blacked out at that time.
         assert batch.sibling_avail[0].sum() == 0
         assert np.all(batch.sibling_values[0] == 0)
+
+
+class TestCollate:
+    """collate keeps one row per distinct context and window of a piece."""
+
+    def test_expands_back_to_each_piece(self, context):
+        first = context.build_batch(np.array([0, 0, 0, 5]),
+                                    np.array([3, 4, 40, 40]))
+        second = context.build_batch(np.array([0, 7]), np.array([4, 90]))
+        batch = collate([first, second])
+        assert batch.size == 6
+        windows = batch.window_index
+        contexts = batch.context_index[windows]
+        for name in ("window_values", "window_avail", "absolute_index"):
+            expanded = getattr(batch, name)[contexts]
+            np.testing.assert_array_equal(expanded[:4], getattr(first, name))
+            np.testing.assert_array_equal(expanded[4:], getattr(second, name))
+        np.testing.assert_array_equal(
+            batch.target_window[windows],
+            np.concatenate([first.target_window, second.target_window]))
+        np.testing.assert_array_equal(
+            batch.target_times, np.concatenate([first.target_times,
+                                                second.target_times]))
+        for dim in range(len(batch.sibling_values)):
+            np.testing.assert_array_equal(batch.sibling_values[dim][4:],
+                                          second.sibling_values[dim])
+
+    def test_one_row_per_distinct_context_and_window(self, context):
+        # (0, 3) and (0, 4) share a window; (0, 40) is another window of
+        # the same row with another context start.
+        piece = context.build_batch(np.array([0, 0, 0, 5]),
+                                    np.array([3, 4, 40, 40]))
+        batch = collate([piece])
+        assert batch.window_values.shape[0] == 3
+        assert batch.target_window.shape[0] == 3
+        assert batch.window_index[0] == batch.window_index[1]
+
+    def test_pieces_never_share_rows(self, context):
+        piece = context.build_batch(np.array([2]), np.array([30]))
+        batch = collate([piece, piece])
+        assert batch.window_values.shape[0] == 2
+        np.testing.assert_array_equal(batch.window_index, [0, 1])
+        np.testing.assert_array_equal(batch.context_index, [0, 1])
+
+    def test_zero_cells_raise(self):
+        with pytest.raises(ValueError):
+            collate([])

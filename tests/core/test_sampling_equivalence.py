@@ -11,7 +11,7 @@ exactly with the historical per-cell mask walk.
 import numpy as np
 import pytest
 
-from repro.core.context import DatasetContext, concatenate_batches
+from repro.core.context import DatasetContext
 from repro.core.sampling import (
     MissingShapeSampler,
     TrainingSampler,
@@ -135,31 +135,3 @@ class TestExtentTables:
             np.random.default_rng(0), 32)
         assert np.all((1 <= time_extents) & (time_extents <= 10))
         assert np.all(member_extents == 1)
-
-
-class TestConcatenateBatches:
-    def test_roundtrip_split(self, small_panel):
-        context, shapes = _make_sampler(small_panel, SCENARIOS["mcar"])
-        sampler = TrainingSampler(context, shapes, np.random.default_rng(0))
-        first = sampler.sample_batch(5)
-        second = sampler.sample_batch(3)
-        fused = concatenate_batches([first, second])
-        assert fused.size == 8
-        np.testing.assert_array_equal(fused.window_values[:5],
-                                      first.window_values)
-        np.testing.assert_array_equal(fused.window_values[5:],
-                                      second.window_values)
-        np.testing.assert_array_equal(fused.targets[5:], second.targets)
-        for dim in range(len(fused.sibling_values)):
-            np.testing.assert_array_equal(fused.sibling_values[dim][:5],
-                                          first.sibling_values[dim])
-
-    def test_single_batch_passthrough(self, small_panel):
-        context, shapes = _make_sampler(small_panel, None)
-        sampler = TrainingSampler(context, shapes, np.random.default_rng(0))
-        batch = sampler.sample_batch(4)
-        assert concatenate_batches([batch]) is batch
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            concatenate_batches([])
