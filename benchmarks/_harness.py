@@ -5,7 +5,7 @@ section at laptop scale: datasets are the synthetic stand-ins at reduced
 length, and the deep methods run with reduced capacity/epochs.  Absolute MAE
 values therefore differ from the paper; the *shape* of each artefact (which
 method wins, by roughly what factor, where the crossovers are) is what the
-harness reports and what EXPERIMENTS.md records.
+harness reports and what ``benchmarks/results/`` records.
 """
 
 from __future__ import annotations
@@ -165,26 +165,6 @@ def rows_to_table(rows: Iterable[Dict[str, float]], index: str = "dataset",
     for row in rows:
         table.setdefault(str(row[index]), {})[str(row[column])] = float(row[value])
     return table
-
-
-def format_table(table: Dict[str, Dict[str, float]], index_name: str = "dataset",
-                 value_format: str = "{:.3f}") -> str:
-    """Aligned plain-text rendering of a pivoted table."""
-    columns: List[str] = []
-    for row in table.values():
-        for name in row:
-            if name not in columns:
-                columns.append(name)
-    header = [index_name] + columns
-    body = []
-    for key, row in table.items():
-        body.append([str(key)] + [
-            value_format.format(row[name]) if name in row else "-" for name in columns])
-    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)),
-             "  ".join("-" * w for w in widths)]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in body]
-    return "\n".join(lines)
 
 
 def emit(results_dir, experiment_id: str, title: str, text: str) -> None:

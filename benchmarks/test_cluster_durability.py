@@ -7,16 +7,11 @@ changing answers.  This benchmark proves both halves:
   to its owning shard as an artifact blob, and the same window-shaped
   requests are served through the single-process
   :class:`~repro.api.ImputationService` and through the 2-shard
-  :class:`~repro.cluster.ClusterRouter`.  The completed tensors must be
-  byte-for-byte equal — the shard serves the same weights through the
-  same fused serving path, just behind a socket.
-* **exactly-once under SIGKILL** — with a full batch queued, the shard
-  that owns the model is killed (``SIGKILL``, no cleanup).  The router
-  restarts it, journal replay heals the durable store, the queued batch
-  is resent, and every request must be delivered exactly once: zero lost
-  (all ids answered), zero duplicated (the results ledger holds exactly
-  one row per id), and a deliberate resend of every id must dedupe
-  through the ledger instead of re-serving.
+  :class:`~repro.cluster.ClusterRouter`: the completed tensors must be
+  byte-for-byte equal, before and after the kill.
+* **exactly-once under SIGKILL** — :func:`repro.evaluation.drills.kill_drill`
+  kills the owning shard with a full batch queued, then resends every id
+  of both batches: zero lost, one ledger row per id, every resend deduped.
 
 Reported metrics: ``cluster.exactly_once`` (1.0 iff zero lost, zero
 duplicated, full dedupe — gated at face value), ``cluster.recovery_rate``
@@ -25,9 +20,9 @@ a rate because the regression checker treats higher as better), plus
 ungated requests/sec throughput numbers for trajectory tracking.
 
 Results land in ``benchmarks/results/cluster.{txt,json}``; full mode also
-refreshes the repo-root ``BENCH_cluster.json`` trajectory artifact.  The
-CI bench-regression job re-runs this file in fast mode and gates the two
-metrics against ``benchmarks/baselines/cluster_fast.json`` via
+refreshes the repo-root ``BENCH_cluster.json``.  The CI bench-regression
+job re-runs this file in fast mode and gates the two metrics against
+``benchmarks/baselines/cluster_fast.json`` via
 ``benchmarks/check_regression.py``.
 """
 
@@ -42,6 +37,7 @@ from repro.api.requests import ImputeRequest
 from repro.cluster import ClusterRouter
 from repro.core.config import DeepMVIConfig
 from repro.data.missing import MissingScenario, apply_scenario
+from repro.evaluation.drills import kill_drill, window_traffic
 
 from benchmarks._harness import bench_dataset, emit, is_fast
 
@@ -62,17 +58,10 @@ else:
                           batch_size=16, n_filters=8, max_context_windows=16)
 
 
-def _windows(incomplete, n_time, count):
-    return [incomplete.slice_time((index * 7) % (n_time - SERVING_WINDOW),
-                                  (index * 7) % (n_time - SERVING_WINDOW)
-                                  + SERVING_WINDOW)
-            for index in range(count)]
-
-
 def test_cluster_durability(results_dir, tmp_path):
     truth = bench_dataset("airq", seed=0)
     incomplete, _ = apply_scenario(truth, SCENARIO, seed=0)
-    windows = _windows(incomplete, truth.n_time, N_REQUESTS)
+    [windows] = window_traffic(incomplete, SERVING_WINDOW, N_REQUESTS)
 
     # Fit ONCE in-process; the cluster serves the same weights.
     local = ImputationService()
@@ -82,7 +71,6 @@ def test_cluster_durability(results_dir, tmp_path):
 
     with ClusterRouter(directory=tmp_path, shards=N_SHARDS) as router:
         router.put_model(model_id, imputer, method="deepmvi")
-        owner = router.ring.assign(model_id)
 
         # -- phase A: bit-identity vs single-process serving ------------ #
         for tensor in windows:
@@ -103,37 +91,19 @@ def test_cluster_durability(results_dir, tmp_path):
             "cluster serving diverged from single-process serving — the "
             "shard must serve the same weights through the same fused path")
 
-        # -- phase B: SIGKILL the owner with a full batch queued -------- #
-        kill_ids = [router.submit(tensor, model_id=model_id)
-                    for tensor in windows]
-        router.kill_shard(owner)
-        start = time.perf_counter()
-        kill_results = router.gather()
-        killed_elapsed = time.perf_counter() - start
-        delivered = {result.request_id for result in kill_results}
-        lost = [rid for rid in kill_ids if rid not in delivered]
+        # -- phase B: SIGKILL the owner with a full batch queued, then
+        # resend EVERY id from both batches: the ledger must dedupe all.
+        kill = kill_drill(router, model_id, windows,
+                          served=list(zip(ids, windows)))
         recovery_seconds = router.recoveries[-1]["seconds"]
 
         # Killed-batch answers must match the healthy-batch answers for
         # the same windows: recovery changes availability, not results.
         identical_after_kill = all(
             np.array_equal(after.completed.values, before.completed.values)
-            for after, before in zip(kill_results, remote_results))
+            for after, before in zip(kill.results, remote_results))
         assert identical_after_kill
-
-        # Resend EVERY id from both batches: the ledger must dedupe all.
-        for request_id, tensor in zip(ids + kill_ids, windows + windows):
-            router.submit(ImputeRequest(model_id=model_id, data=tensor,
-                                        request_id=request_id))
-        router.gather()
-        deduped = router.last_deduped
-        ledger_rows = sum(info.get("results", 0)
-                          for info in router.shard_stats().values()
-                          if info.get("alive"))
-        duplicated = ledger_rows - 2 * N_REQUESTS
-
-        exactly_once = float(not lost and duplicated == 0
-                             and deduped == 2 * N_REQUESTS)
+        exactly_once = float(kill.exactly_once)
 
         # -- phase C: SQL window-function analytics over the journal ---- #
         report = router.analytics(bucket_seconds=3600.0)
@@ -149,16 +119,17 @@ def test_cluster_durability(results_dir, tmp_path):
         "cluster.recovery_rate": 1.0 / max(recovery_seconds, 1e-9),
         "cluster.recovery_seconds": recovery_seconds,
         "cluster.requests_per_second": N_REQUESTS / healthy_elapsed,
-        "cluster.killed_requests_per_second": N_REQUESTS / killed_elapsed,
-        "cluster.deduped": float(deduped),
+        "cluster.killed_requests_per_second":
+            N_REQUESTS / kill.elapsed_seconds,
+        "cluster.deduped": float(kill.deduped),
         "cluster.bit_identical": float(identical and identical_after_kill),
     }
     lines = [
         f"cluster  {N_SHARDS} shards   healthy "
         f"{N_REQUESTS / healthy_elapsed:>7.1f} req/sec   with SIGKILL "
-        f"{N_REQUESTS / killed_elapsed:>7.1f} req/sec",
-        f"kill     lost {len(lost)}   duplicated {duplicated}   "
-        f"resend dedupe {deduped}/{2 * N_REQUESTS}   recovery "
+        f"{N_REQUESTS / kill.elapsed_seconds:>7.1f} req/sec",
+        f"kill     lost {len(kill.lost)}   duplicated {kill.duplicated}   "
+        f"resend dedupe {kill.deduped}/{kill.resent}   recovery "
         f"{recovery_seconds * 1e3:.0f} ms",
         f"journal  p99 {p99_ms:.2f} ms over {completions} completions "
         f"(SQL window functions, shards={report['shards']})",
@@ -190,5 +161,5 @@ def test_cluster_durability(results_dir, tmp_path):
             json.dumps(payload, indent=2) + "\n")
 
     assert exactly_once == 1.0, (
-        f"exactly-once violated: lost={len(lost)} duplicated={duplicated} "
-        f"deduped={deduped}/{2 * N_REQUESTS}")
+        f"exactly-once violated: lost={len(kill.lost)} "
+        f"duplicated={kill.duplicated} deduped={kill.deduped}/{kill.resent}")

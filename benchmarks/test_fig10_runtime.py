@@ -13,12 +13,12 @@ contexts.
 
 from repro.data.datasets import load_dataset
 from repro.data.missing import MissingScenario
+from repro.evaluation.reporting import format_table
 
 from benchmarks._harness import (
     bench_dataset,
     emit,
     evaluate_cell,
-    format_table,
     is_fast,
 )
 

@@ -8,8 +8,9 @@ imputing rather than dropping the missing cells.
 
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.evaluation.analytics import downstream_comparison
+from repro.evaluation.reporting import format_table
 
-from benchmarks._harness import bench_dataset, build_method, emit, format_table
+from benchmarks._harness import bench_dataset, build_method, emit
 
 DATASETS = ("climate", "electricity", "janatahack", "m5")
 METHODS = ("cdrec", "brits", "gpvae", "transformer", "deepmvi")

@@ -9,11 +9,11 @@ prints a dataset x method MAE table plus the per-dataset winner.
 import pytest
 
 from repro.data.missing import MissingScenario
+from repro.evaluation.reporting import format_table
 
 from benchmarks._harness import (
     emit,
     evaluate_grid,
-    format_table,
     rows_to_table,
     winner_per_row,
 )

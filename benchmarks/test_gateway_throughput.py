@@ -3,31 +3,25 @@
 The serving gateway's claim is that under concurrent traffic it beats the
 naive pattern (every caller invokes ``service.impute()`` itself, one
 request at a time) by fusing same-model window-shaped requests into shared
-forward calls.  This benchmark measures exactly that claim with
-``N_PRODUCERS`` concurrent producer threads and three serving modes:
+forward calls.  ``N_PRODUCERS`` producer threads measure three modes:
 
 * **sequential** — one thread serves every request back-to-back through
   ``service.impute()`` (the zero-concurrency floor);
 * **one-at-a-time concurrent** — the producers each call
-  ``service.impute()`` directly, serialised by a lock
-  (:class:`~repro.api.ImputationService` is not thread-safe); this is the
-  pattern the gateway replaces;
-* **gateway** — the same producers submit to
-  :class:`repro.gateway.Gateway`, whose adaptive micro-batcher fuses the
-  requests (acceptance bar: **>= 2x** requests/sec against both
-  baselines).
+  ``service.impute()`` directly, serialised by a lock (the service is not
+  thread-safe); this is the pattern the gateway replaces;
+* **gateway** — the same producers submit to :class:`repro.gateway.Gateway`
+  through :func:`repro.evaluation.drills.gateway_pass` (acceptance bar:
+  **>= 2x** requests/sec against both baselines).
 
-Producers synchronise on a barrier so the timed window contains only
-serving work, and every mode takes the best of ``REPEATS`` passes — a
-single pass on a shared CI host can lose a scheduling quantum to a
-neighbour, and the gate metric is a ratio of sustained rates.  Every
-gateway pass also asserts delivery integrity (each request exactly one
-result, in submit order per producer) — throughput earned by dropping
-requests would be meaningless.
+The concurrent modes are timed from a barrier release, and every mode
+takes the best of ``REPEATS`` passes: the gate metric is a ratio of
+sustained rates, and one pass on a shared host can lose a scheduling
+quantum.  Every gateway pass must deliver each request exactly once, in
+submit order per producer.
 
-Results land in ``benchmarks/results/gateway_throughput.{txt,json}``.  In
-full mode the payload is also written to the repo-root
-``BENCH_gateway_throughput.json`` trajectory artifact.  The CI
+Results land in ``benchmarks/results/gateway_throughput.{txt,json}``; full
+mode also writes the repo-root ``BENCH_gateway_throughput.json``.  The CI
 bench-regression job re-runs this file in fast mode and gates
 ``gateway.concurrent_speedup`` against
 ``benchmarks/baselines/gateway_fast.json`` via
@@ -40,10 +34,11 @@ import threading
 import time
 
 from repro.api import ImputationService
-from repro.api.requests import ImputeRequest
 from repro.core.config import DeepMVIConfig
 from repro.data.missing import MissingScenario, apply_scenario
-from repro.gateway import Gateway, GatewayConfig
+from repro.evaluation.drills import (gateway_pass, timed_producers,
+                                     window_traffic)
+from repro.gateway import GatewayConfig
 
 from benchmarks._harness import bench_dataset, emit, is_fast
 
@@ -66,64 +61,11 @@ else:
 
 MAX_BATCH_SIZE = 64
 MAX_WAIT_MS = 10.0
+GATEWAY_CONFIG = GatewayConfig(
+    max_batch_size=MAX_BATCH_SIZE, max_wait_ms=MAX_WAIT_MS, workers=1,
+    max_queue_depth=4096, admission="block")
 SCENARIO = MissingScenario("mcar", {"incomplete_fraction": 0.5,
                                     "block_size": 4})
-
-
-def _traffic(incomplete, n_time):
-    """Per-producer lists of window-shaped request tensors."""
-    traffic = []
-    for producer in range(N_PRODUCERS):
-        windows = []
-        for index in range(REQUESTS_PER_PRODUCER):
-            offset = producer * REQUESTS_PER_PRODUCER + index
-            start = (offset * 7) % (n_time - SERVING_WINDOW)
-            windows.append(incomplete.slice_time(
-                start, start + SERVING_WINDOW))
-        traffic.append(windows)
-    return traffic
-
-
-def _timed_producers(producer_fn):
-    """Run one producer thread per traffic lane; time from barrier release.
-
-    Thread creation happens outside the timed window: the measurement is
-    serving throughput, not ``Thread.start`` overhead.
-    """
-    barrier = threading.Barrier(N_PRODUCERS + 1)
-    threads = [threading.Thread(target=producer_fn, args=(index, barrier),
-                                name=f"bench-producer-{index}")
-               for index in range(N_PRODUCERS)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    return time.perf_counter() - start
-
-
-def _run_gateway_pass(service, model_id, traffic):
-    """One concurrent pass; returns (elapsed, stats, delivered results)."""
-    gateway = Gateway(service, GatewayConfig(
-        max_batch_size=MAX_BATCH_SIZE, max_wait_ms=MAX_WAIT_MS,
-        workers=1, max_queue_depth=4096, admission="block"))
-    delivered = {}
-
-    def producer_loop(producer_index, barrier):
-        barrier.wait()
-        futures = []
-        for index, tensor in enumerate(traffic[producer_index]):
-            request_id = f"p{producer_index}-r{index:03d}"
-            futures.append(gateway.submit(ImputeRequest(
-                model_id=model_id, data=tensor, request_id=request_id)))
-        delivered[producer_index] = [future.result(timeout=120.0)
-                                     for future in futures]
-
-    elapsed = _timed_producers(producer_loop)
-    stats = gateway.stats()
-    gateway.close()
-    return elapsed, stats, delivered
 
 
 def test_gateway_throughput(results_dir):
@@ -132,7 +74,8 @@ def test_gateway_throughput(results_dir):
     config = DeepMVIConfig(**SERVING_CONFIG)
     service = ImputationService()
     model_id = service.fit(incomplete, method="deepmvi", config=config)
-    traffic = _traffic(incomplete, truth.n_time)
+    traffic = window_traffic(incomplete, SERVING_WINDOW,
+                             REQUESTS_PER_PRODUCER, N_PRODUCERS)
     total = N_PRODUCERS * REQUESTS_PER_PRODUCER
 
     # Warm the serving path (first impute builds lazy tables and the
@@ -157,8 +100,7 @@ def test_gateway_throughput(results_dir):
     # serving is.
     impute_lock = threading.Lock()
 
-    def naive_producer(producer_index, barrier):
-        barrier.wait()
+    def naive_producer(producer_index):
         for tensor in traffic[producer_index]:
             with impute_lock:
                 service.impute(tensor, model_id=model_id)
@@ -166,26 +108,23 @@ def test_gateway_throughput(results_dir):
     naive_rps = 0.0
     for _ in range(REPEATS):
         naive_rps = max(naive_rps,
-                        total / _timed_producers(naive_producer))
+                        total / timed_producers(N_PRODUCERS, naive_producer))
 
     # -- gateway: same producers, micro-batched fused serving ----------- #
     gateway_rps = 0.0
     best_stats = None
     for _ in range(REPEATS):
-        elapsed, stats, delivered = _run_gateway_pass(service, model_id,
-                                                      traffic)
+        run = gateway_pass(service, model_id, traffic, GATEWAY_CONFIG)
         # Delivery integrity on EVERY pass: exactly one result per request,
         # in submit order per producer (the gateway preserves caller ids).
-        assert sorted(delivered) == list(range(N_PRODUCERS))
-        for producer_index, results in delivered.items():
+        for producer_index, results in enumerate(run.results):
             expected = [f"p{producer_index}-r{index:03d}"
                         for index in range(REQUESTS_PER_PRODUCER)]
             assert [r.request_id for r in results] == expected, (
                 f"producer {producer_index} results out of order or lost")
-        assert stats["completed"] == total and stats["failed"] == 0
-        rps = total / elapsed
-        if rps > gateway_rps:
-            gateway_rps, best_stats = rps, stats
+        assert run.stats["completed"] == total and run.stats["failed"] == 0
+        if run.requests_per_second > gateway_rps:
+            gateway_rps, best_stats = run.requests_per_second, run.stats
 
     speedup = gateway_rps / max(naive_rps, 1e-9)
     speedup_vs_sequential = gateway_rps / max(sequential_rps, 1e-9)

@@ -8,8 +8,9 @@ size-100 Blackout (scaled down here with the series length).
 
 
 from repro.data.missing import MissingScenario
+from repro.evaluation.reporting import format_table
 
-from benchmarks._harness import bench_dataset, emit, evaluate_cell, format_table
+from benchmarks._harness import bench_dataset, emit, evaluate_cell
 
 METHODS = ("brits", "gpvae", "transformer", "deepmvi")
 MCAR = MissingScenario("mcar", {"incomplete_fraction": 1.0, "block_size": 10})

@@ -48,23 +48,3 @@ def fine_grained_signal(window_values: np.ndarray, window_avail: np.ndarray,
         means = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
     return means[:, None]
 
-
-def local_neighbourhood_signal(series_values: np.ndarray, series_avail: np.ndarray,
-                               target_time: np.ndarray, radius: int = 5) -> np.ndarray:
-    """Alternative fine-grained feature: masked mean of a ±radius neighbourhood.
-
-    Not used by the default DeepMVI configuration (the paper uses the window
-    mean) but exposed for experimentation; the extension benchmarks compare
-    both variants.
-    """
-    batch, length = series_values.shape
-    output = np.zeros((batch, 1))
-    for row in range(batch):
-        t = int(target_time[row])
-        lo = max(0, t - radius)
-        hi = min(length, t + radius + 1)
-        avail = series_avail[row, lo:hi]
-        values = series_values[row, lo:hi]
-        count = avail.sum()
-        output[row, 0] = (values * avail).sum() / count if count > 0 else 0.0
-    return output

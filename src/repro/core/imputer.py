@@ -458,7 +458,11 @@ class DeepMVIImputer(BaseImputer):
                 dimension_sizes=list(model_state["dimension_sizes"]),
                 max_position=int(model_state["max_position"]),
             )
-            self.model.load_state_dict(model_state["state_dict"])
+            # States saved by earlier versions carry an untrained
+            # ``log_variance`` the network no longer has.
+            self.model.load_state_dict(
+                {name: value for name, value in
+                 model_state["state_dict"].items() if name != "log_variance"})
         if self._fitted_tensor is not None and self.model is not None:
             self.context = self._build_context(self._fitted_tensor)
 

@@ -7,9 +7,9 @@ missing cell is a linear combination of
 * ``hfg`` — the fine-grained local signal (window mean),
 * ``hkr`` — the kernel-regression cross-series signal,
 
-with a trainable scalar log-variance shared across cells for the Gaussian
-likelihood.  The ablation flags of :class:`repro.core.config.DeepMVIConfig`
-drop individual signals to reproduce Section 5.5.
+trained with a squared-error loss.  The ablation flags of
+:class:`repro.core.config.DeepMVIConfig` drop individual signals to
+reproduce Section 5.5.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.fine_grained import fine_grained_signal
 from repro.core.kernel_regression import KernelRegression
 from repro.core.temporal_transformer import TemporalTransformer
 from repro.nn import functional as F
-from repro.nn.layers import Linear, Module, Parameter
+from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -93,8 +93,6 @@ class DeepMVIModel(Module):
         # Zero-init the combiner so the initial prediction is the (normalised)
         # dataset mean; the signal modules then learn under a well-scaled loss.
         self.output_layer.weight.data[:] = 0.0
-        #: shared log-variance of the Gaussian predictive distribution
-        self.log_variance = Parameter(np.zeros((1,)))
 
     # ------------------------------------------------------------------ #
     def forward(self, batch: Batch) -> Tensor:

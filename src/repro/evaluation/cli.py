@@ -62,13 +62,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+import tempfile
+import time
+from typing import List, Optional, Sequence, Tuple
 
 from repro.api import ImputationService, ImputeRequest
 from repro.baselines.registry import list_method_infos
 from repro.core.config import DeepMVIConfig
 from repro.data.datasets import list_datasets, load_dataset
 from repro.data.missing import MissingScenario, apply_scenario, list_scenarios
+from repro.data.tensor import TimeSeriesTensor
+from repro.evaluation.drills import (drift_drill, gateway_pass, kill_drill,
+                                     window_traffic)
 from repro.evaluation.metrics import mae
 from repro.evaluation.experiments import (
     EXPERIMENTS,
@@ -78,6 +83,8 @@ from repro.evaluation.experiments import (
 )
 from repro.evaluation.reporting import format_table, pivot
 from repro.evaluation.runner import ExperimentRunner
+from repro.gateway import GatewayConfig
+from repro.online import CanaryConfig, DriftConfig
 
 
 def _deepmvi_kwargs(size: str) -> dict:
@@ -304,13 +311,25 @@ def _scenario_from_args(args: argparse.Namespace) -> MissingScenario:
     return MissingScenario(args.scenario, params)
 
 
+def _incomplete_from_args(args: argparse.Namespace) -> TimeSeriesTensor:
+    """The ``--dataset`` tensor with ``--scenario``'s cells hidden."""
+    truth = load_dataset(args.dataset, size=args.size, seed=args.seed)
+    incomplete, _ = apply_scenario(truth, _scenario_from_args(args),
+                                   seed=args.seed)
+    return incomplete
+
+
+def _method_kwargs(args: argparse.Namespace) -> dict:
+    """``--size``-scaled settings when ``--method`` is a DeepMVI variant."""
+    if args.method.lower().startswith("deepmvi"):
+        return _deepmvi_kwargs(args.size)
+    return {}
+
+
 def _command_impute(args: argparse.Namespace) -> int:
     """Serve ``--requests`` missing-value patterns from ONE fitted model."""
     truth = load_dataset(args.dataset, size=args.size, seed=args.seed)
     scenario = _scenario_from_args(args)
-    method_kwargs = (_deepmvi_kwargs(args.size)
-                     if args.method.lower().startswith("deepmvi") else {})
-
     patterns = []
     for index in range(max(1, args.requests)):
         incomplete, missing_mask = apply_scenario(truth, scenario,
@@ -318,7 +337,8 @@ def _command_impute(args: argparse.Namespace) -> int:
         patterns.append((incomplete, missing_mask))
 
     service = ImputationService(store_dir=args.store_dir)
-    model_id = service.fit(patterns[0][0], method=args.method, **method_kwargs)
+    model_id = service.fit(patterns[0][0], method=args.method,
+                           **_method_kwargs(args))
     print(f"[service] fitted {args.method!r} once -> model {model_id}")
     for incomplete, _ in patterns:
         service.submit(ImputeRequest(model_id=model_id, data=incomplete))
@@ -342,35 +362,26 @@ def _command_impute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_metrics(rows: List[Tuple[str, str]], width: int = 26) -> None:
+    """The bench commands' two-column ``metric  value`` table."""
+    print(f"\n{'metric':<{width}} value")
+    print("-" * (width + 14))
+    for label, value in rows:
+        print(f"{label:<{width}} {value}")
+
+
 def _command_gateway_bench(args: argparse.Namespace) -> int:
     """Hammer the gateway with concurrent producers; print the telemetry."""
-    import threading
-    import time
-
-    from repro.gateway import Gateway, GatewayConfig
-
-    truth = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    scenario = _scenario_from_args(args)
-    incomplete, _ = apply_scenario(truth, scenario, seed=args.seed)
-    window = min(args.window, max(2, truth.n_time - 1))
-    method_kwargs = (_deepmvi_kwargs(args.size)
-                     if args.method.lower().startswith("deepmvi") else {})
-
+    incomplete = _incomplete_from_args(args)
+    window = min(args.window, max(2, incomplete.n_time - 1))
     service = ImputationService(store_dir=args.store_dir)
-    model_id = service.fit(incomplete, method=args.method, **method_kwargs)
+    model_id = service.fit(incomplete, method=args.method,
+                           **_method_kwargs(args))
     print(f"[gateway] fitted {args.method!r} once -> model {model_id}")
 
     producers = max(1, args.producers)
     per_producer = max(1, args.requests)
-    traffic = []
-    for producer in range(producers):
-        windows = []
-        for index in range(per_producer):
-            start = ((producer * per_producer + index) * 7) \
-                % max(1, truth.n_time - window)
-            windows.append(incomplete.slice_time(start, start + window))
-        traffic.append(windows)
-    total = producers * per_producer
+    traffic = window_traffic(incomplete, window, per_producer, producers)
 
     sequential_rps = None
     if not args.skip_baseline:
@@ -378,7 +389,8 @@ def _command_gateway_bench(args: argparse.Namespace) -> int:
         for windows in traffic:
             for tensor in windows:
                 service.impute(tensor, model_id=model_id)
-        sequential_rps = total / (time.perf_counter() - start)
+        sequential_rps = (producers * per_producer
+                          / (time.perf_counter() - start))
         print(f"[gateway] baseline: one-at-a-time service.impute() "
               f"{sequential_rps:,.1f} req/sec")
 
@@ -386,47 +398,21 @@ def _command_gateway_bench(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth, admission=args.admission,
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         workers=args.workers)
-    received = {}
     batch_every = (int(round(1.0 / args.batch_lane_share))
                    if args.batch_lane_share > 0 else 0)
+    report = gateway_pass(service, model_id, traffic, config,
+                          batch_every=batch_every)
+    stats = report.stats
 
-    with Gateway(service, config) as gateway:
-        barrier = threading.Barrier(producers + 1)
-
-        def producer_loop(producer_index: int) -> None:
-            barrier.wait()
-            futures = []
-            for index, tensor in enumerate(traffic[producer_index]):
-                lane = ("batch" if batch_every and (index + 1) % batch_every
-                        == 0 else "interactive")
-                futures.append(gateway.submit(tensor, model_id=model_id,
-                                              priority=lane))
-            received[producer_index] = [future.result(timeout=120.0)
-                                        for future in futures]
-
-        threads = [threading.Thread(target=producer_loop, args=(index,),
-                                    name=f"producer-{index}")
-                   for index in range(producers)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()                     # time serving, not Thread.start
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        stats = gateway.stats()
-
-    gateway_rps = total / elapsed
-    delivered = sum(len(results) for results in received.values())
     print(f"[gateway] {producers} producers x {per_producer} requests "
-          f"(window={window}): {gateway_rps:,.1f} req/sec")
+          f"(window={window}): {report.requests_per_second:,.1f} req/sec")
     if sequential_rps:
         print(f"[gateway] speedup vs one-at-a-time: "
-              f"{gateway_rps / sequential_rps:.2f}x")
-    print(f"\n{'metric':<26} value")
-    print("-" * 40)
+              f"{report.requests_per_second / sequential_rps:.2f}x")
     rows = [
-        ("requests delivered", f"{delivered}/{total}"),
+        ("requests delivered", f"{report.delivered}/{report.offered}"),
+        ("requests rejected", str(report.rejected)),
+        ("requests failed", str(len(report.errors))),
         ("qps (window)", f"{stats['qps']:,.1f}"),
         ("latency p50", f"{stats['latency_p50_seconds'] * 1e3:.2f} ms"),
         ("latency p95", f"{stats['latency_p95_seconds'] * 1e3:.2f} ms"),
@@ -435,7 +421,6 @@ def _command_gateway_bench(args: argparse.Namespace) -> int:
         ("fast-path hit rate", f"{stats['fast_path_hit_rate']:.1%}"),
         ("mean batch size", f"{stats['mean_batch_size']:.1f}"),
         ("batches", str(stats["batches"])),
-        ("rejected / expired", f"{stats['rejected']} / {stats['expired']}"),
         ("model-cache hit rate",
          f"{stats['model_cache']['hit_rate']:.1%}"),
     ]
@@ -444,226 +429,99 @@ def _command_gateway_bench(args: argparse.Namespace) -> int:
         rows.append(("fast-path tables",
                      f"{table_info['nbytes'] / 1024:.1f} KiB, built in "
                      f"{table_info['build_seconds'] * 1e3:.1f} ms"))
-    for label, value in rows:
-        print(f"{label:<26} {value}")
-    if delivered != total:
-        print(f"[gateway] ERROR: lost {total - delivered} response(s)",
+    _print_metrics(rows)
+    if report.errors:
+        print(f"[gateway] ERROR: {len(report.errors)} admitted request(s) "
+              f"failed or got no result; first: {report.errors[0]}",
               file=sys.stderr)
         return 1
     return 0
 
 
 def _command_cluster_bench(args: argparse.Namespace) -> int:
-    """Route traffic through shard processes; prove exactly-once delivery.
-
-    The crash drill: fit once, route window-shaped requests across the
-    shards, SIGKILL the shard that owns the model while a full batch is
-    queued, and verify that the restarted shard's journal replay plus the
-    results ledger deliver every request exactly once — nothing lost,
-    nothing served twice.
-    """
-    import tempfile
-    import time
-
-    from repro.api.requests import ImputeRequest
+    """Fit once on the cluster, then run the shard-kill drill on it."""
     from repro.cluster import ClusterRouter
 
-    truth = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    scenario = _scenario_from_args(args)
-    incomplete, _ = apply_scenario(truth, scenario, seed=args.seed)
-    window = min(args.window, max(2, truth.n_time - 1))
-    method_kwargs = (_deepmvi_kwargs(args.size)
-                     if args.method.lower().startswith("deepmvi") else {})
-    total = max(1, args.requests)
-    windows = []
-    for index in range(total):
-        start = (index * 7) % max(1, truth.n_time - window)
-        windows.append(incomplete.slice_time(start, start + window))
+    incomplete = _incomplete_from_args(args)
+    window = min(args.window, max(2, incomplete.n_time - 1))
+    [windows] = window_traffic(incomplete, window, max(1, args.requests))
 
-    with tempfile.TemporaryDirectory() as scratch:
-        store_dir = args.store_dir or scratch
-        with ClusterRouter(directory=store_dir,
-                           shards=max(1, args.shards)) as router:
-            model_id = router.fit(incomplete, method=args.method,
-                                  **method_kwargs)
-            owner = router.ring.assign(model_id)
-            print(f"[cluster] fitted {args.method!r} once -> model "
-                  f"{model_id} on {owner} "
-                  f"({len(router.handles)} shard(s))")
+    with tempfile.TemporaryDirectory() as scratch, ClusterRouter(
+            directory=args.store_dir or scratch,
+            shards=max(1, args.shards)) as router:
+        model_id = router.fit(incomplete, method=args.method,
+                              **_method_kwargs(args))
+        print(f"[cluster] fitted {args.method!r} once -> model {model_id} "
+              f"on {router.ring.assign(model_id)} "
+              f"({len(router.handles)} shard(s))")
+        report = kill_drill(router, model_id, windows)
+        recoveries = len(router.recoveries)
+        p99_buckets = router.analytics(bucket_seconds=60.0)["p99_over_time"]
 
-            request_ids = [router.submit(tensor, model_id=model_id)
-                           for tensor in windows]
-            print(f"[cluster] queued {total} request(s); killing {owner} "
-                  f"mid-load")
-            router.kill_shard(owner)
-            start = time.perf_counter()
-            results = router.gather()
-            elapsed = time.perf_counter() - start
-            delivered = {result.request_id for result in results}
-            lost = [rid for rid in request_ids if rid not in delivered]
-
-            # Resend every id: the ledger must dedupe all of them, and the
-            # journal must hold exactly one result row per request.
-            for request_id, tensor in zip(request_ids, windows):
-                router.submit(ImputeRequest(model_id=model_id, data=tensor,
-                                            request_id=request_id))
-            router.gather()
-            deduped = router.last_deduped
-            ledger_rows = sum(info.get("results", 0)
-                              for info in router.shard_stats().values()
-                              if info.get("alive"))
-            duplicated = ledger_rows - total
-
-            print(f"\n{'metric':<26} value")
-            print("-" * 40)
-            for label, value in [
-                    ("requests delivered", f"{len(delivered)}/{total}"),
-                    ("lost", str(len(lost))),
-                    ("duplicated ledger rows", str(duplicated)),
-                    ("resend dedupe hits", f"{deduped}/{total}"),
-                    ("recoveries", str(len(router.recoveries))),
-                    ("throughput", f"{total / elapsed:,.1f} req/sec "
-                                   f"(incl. shard restart)")]:
-                print(f"{label:<26} {value}")
-            report = router.analytics(bucket_seconds=60.0)
-            for row in report["p99_over_time"]:
-                print(f"p99 bucket {row['bucket']:<15} "
-                      f"{row['p99_seconds'] * 1e3:.2f} ms "
-                      f"({row['completions']} completions)")
-            ok = not lost and duplicated == 0 and deduped == total
-            if not ok:
-                print(f"[cluster] ERROR: lost={len(lost)} "
-                      f"duplicated={duplicated} deduped={deduped}/{total}",
-                      file=sys.stderr)
-            return 0 if ok else 1
+    total = len(windows)
+    print(f"[cluster] queued {total} request(s); killed {report.owner}")
+    _print_metrics([
+        ("requests delivered", f"{total - len(report.lost)}/{total}"),
+        ("lost", str(len(report.lost))),
+        ("duplicated ledger rows", str(report.duplicated)),
+        ("resend dedupe hits", f"{report.deduped}/{report.resent}"),
+        ("recoveries", str(recoveries)),
+        ("throughput", f"{total / report.elapsed_seconds:,.1f} req/sec "
+                       f"(incl. shard restart)")])
+    for row in p99_buckets:
+        print(f"p99 bucket {row['bucket']:<15} "
+              f"{row['p99_seconds'] * 1e3:.2f} ms "
+              f"({row['completions']} completions)")
+    if not report.exactly_once:
+        print(f"[cluster] ERROR: lost={len(report.lost)} "
+              f"duplicated={report.duplicated} "
+              f"deduped={report.deduped}/{report.resent}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _command_online_bench(args: argparse.Namespace) -> int:
-    """Static model vs the closed online loop on a mid-stream level shift.
-
-    Both arms replay the *same* drifting stream from the same fitted
-    model and are scored on the same deterministic probe cells; the
-    online arm additionally runs :class:`repro.online.OnlineLoop`
-    (drift detection → warm-start refit → canary promote/rollback).
-    The journal is checked for exactly-once transition recording.
-    """
-    import tempfile
-    import warnings
-
-    import numpy as np
-
-    from repro.api.refs import ModelRef
-    from repro.data.tensor import TimeSeriesTensor
-    from repro.evaluation.metrics import nrmse
-    from repro.online import CanaryConfig, DriftConfig, DriftDetector, \
-        OnlineLoop
-    from repro.streaming import StreamingService, WindowedStream
-
-    truth = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    scenario = _scenario_from_args(args)
-    incomplete, _ = apply_scenario(truth, scenario, seed=args.seed)
+    """Static model vs the closed online loop on a mid-stream level shift."""
+    incomplete = _incomplete_from_args(args)
     window = max(4, min(args.window, incomplete.n_time // 4))
-
-    # Inject the drift: a level shift on the second half of the timeline.
-    _, observed_std = incomplete.observed_mean_std()
-    half = incomplete.n_time // 2
-    values = incomplete.values.copy()
-    values[..., half:] += args.shift * (observed_std or 1.0)
-    drifting = TimeSeriesTensor(values=values,
-                                dimensions=list(incomplete.dimensions),
-                                mask=incomplete.mask.copy(),
-                                name=f"{incomplete.name}-drifting")
-    head = drifting.slice_time(0, half)
-    windows = list(WindowedStream.from_tensor(drifting, window_size=window,
-                                              stride=window))
-    post_shift = [w.index for w in windows if w.start >= half]
-
-    drift_config = DriftConfig(nrmse_budget=args.budget, rolling_windows=2,
-                               baseline_windows=2, cooldown_windows=2,
-                               seed=args.seed)
-    canary_config = CanaryConfig(min_shadow_samples=2, max_shadow_windows=8)
-
-    def run_arm(online: bool, store_dir: str):
-        svc = StreamingService(store_dir=store_dir)
-        model = svc.service.fit(head, method=args.method,
-                                model_id="online-bench")
-        svc.open_stream("online-bench", warm_start=ModelRef.latest(model),
-                        refit_every=0)
-        loop = OnlineLoop(svc, drift=drift_config, canary=canary_config)
-        if online:
-            loop.watch("online-bench")
-        # Both arms are scored on identical probe cells (same stream id,
-        # seed and window indices → same hidden mask), against whatever
-        # model @latest resolves to after each step.
-        scorer = DriftDetector("online-bench", drift_config)
-        scores = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for w in windows:
-                loop.push("online-bench", w)
-                loop.step()
-                probe = scorer.make_probe(w)
-                if probe is None:
-                    continue
-                probe_tensor, hidden = probe
-                result = svc.service.impute(
-                    ImputeRequest(model_id=ModelRef.latest("online-bench"),
-                                  data=probe_tensor))
-                scores[w.index] = nrmse(result.completed, w.tensor,
-                                        mask=hidden)
-        return svc, loop, scores
-
+    drift = DriftConfig(nrmse_budget=args.budget, rolling_windows=2,
+                        baseline_windows=2, cooldown_windows=2,
+                        seed=args.seed)
+    canary = CanaryConfig(min_shadow_samples=2, max_shadow_windows=8)
     with tempfile.TemporaryDirectory() as scratch:
-        base = args.store_dir or scratch
-        _, _, static_scores = run_arm(False, f"{base}/static")
-        svc, loop, online_scores = run_arm(True, f"{base}/online")
+        report = drift_drill(incomplete, args.shift, window, args.method,
+                             drift, canary, args.store_dir or scratch)
 
-        def post_mean(scores):
-            vals = [scores[i] for i in post_shift
-                    if i in scores and np.isfinite(scores[i])]
-            return float(np.mean(vals)) if vals else float("nan")
+    if not args.quiet:
+        print(f"\n{'window':>6} {'static':>8} {'online':>8}")
+        shift_at = next(w.index for w in report.windows
+                        if w.start >= report.half)
+        for w in report.windows:
+            static = report.static_scores.get(w.index, float("nan"))
+            online = report.online_scores.get(w.index, float("nan"))
+            mark = " <- drift" if w.index == shift_at else ""
+            print(f"{w.index:>6} {static:>8.3f} {online:>8.3f}{mark}")
 
-        static_nrmse = post_mean(static_scores)
-        online_nrmse = post_mean(online_scores)
-        gain = static_nrmse / online_nrmse if online_nrmse > 0 else \
-            float("nan")
-
-        if not args.quiet:
-            print(f"\n{'window':>6} {'static':>8} {'online':>8}")
-            for w in windows:
-                s = static_scores.get(w.index)
-                o = online_scores.get(w.index)
-                mark = " <- drift" if w.index == post_shift[0] else ""
-                print(f"{w.index:>6} "
-                      f"{s if s is not None else float('nan'):>8.3f} "
-                      f"{o if o is not None else float('nan'):>8.3f}{mark}")
-
-        journal = svc.service.versions.history("online-bench")
-        unique = {(e["event"], e["version"]) for e in journal}
-        exactly_once = len(unique) == len(journal)
-        snap = loop.snapshot()
-        print(f"\n[online] {args.dataset!r} + {args.shift:g} sigma shift at "
-              f"t={half} ({len(windows)} windows of {window}, "
-              f"method={args.method!r})")
-        print(f"\n{'metric':<28} value")
-        print("-" * 42)
-        for label, value in [
-                ("post-drift NRMSE (static)", f"{static_nrmse:.4f}"),
-                ("post-drift NRMSE (online)", f"{online_nrmse:.4f}"),
-                ("drift gain (static/online)", f"{gain:.2f}x"),
-                ("drift events", str(snap.extras["drift_events"])),
-                ("refits", str(snap.extras["loop_refits"])),
-                ("promotions", str(snap.extras["promotions"])),
-                ("rollbacks", str(snap.extras["rollbacks"])),
-                ("journal transitions", str(len(journal))),
-                ("journalled exactly once",
-                 "yes" if exactly_once else "NO")]:
-            print(f"{label:<28} {value}")
-        if not exactly_once:
-            print("[online] ERROR: duplicate journal transitions",
-                  file=sys.stderr)
-            return 1
-        return 0
+    snap = report.snapshot
+    print(f"\n[online] {args.dataset!r} + {args.shift:g} sigma shift at "
+          f"t={report.half} ({len(report.windows)} windows of {window}, "
+          f"method={args.method!r})")
+    _print_metrics([
+        ("post-drift NRMSE (static)", f"{report.static_nrmse:.4f}"),
+        ("post-drift NRMSE (online)", f"{report.online_nrmse:.4f}"),
+        ("drift gain (static/online)", f"{report.drift_gain:.2f}x"),
+        ("drift events", str(snap["drift_events"])),
+        ("refits", str(snap["loop_refits"])),
+        ("promotions", str(snap["promotions"])),
+        ("rollbacks", str(snap["rollbacks"])),
+        ("journal transitions", str(len(report.journal))),
+        ("journalled exactly once",
+         "yes" if report.exactly_once else "NO")], width=28)
+    if not report.exactly_once:
+        print("[online] ERROR: duplicate journal transitions",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _command_stream(args: argparse.Namespace) -> int:

@@ -6,7 +6,7 @@ figures report; these helpers keep that formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping
 
 from repro.evaluation.runner import ExperimentResult
 
@@ -51,14 +51,3 @@ def format_table(table: Mapping[str, Mapping[str, float]], value_format: str = "
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(cells, widths)))
     return "\n".join(lines)
 
-
-def format_series(series: Mapping[str, Sequence[float]], x_values: Sequence[object],
-                  x_name: str = "x", value_format: str = "{:.3f}") -> str:
-    """Render one line per method with values along a swept parameter."""
-    lines = []
-    header = [x_name] + [str(x) for x in x_values]
-    lines.append("  ".join(header))
-    for method, values in series.items():
-        cells = [method] + [value_format.format(v) for v in values]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ pieces the paper's models need:
   transformer and the vanilla transformer baseline.
 * :mod:`repro.nn.rnn` — a GRU cell used by the BRITS and MRNN baselines.
 * :mod:`repro.nn.optim` — SGD and Adam.
-* :mod:`repro.nn.losses` — MSE / MAE / Gaussian negative log likelihood.
+* :mod:`repro.nn.losses` — MSE and the KL divergence of the GP-VAE.
 """
 
 from repro.nn.tensor import Tensor, as_tensor, no_grad

@@ -147,34 +147,6 @@ def clip(x: Tensor, low: float, high: float) -> Tensor:
     return Tensor._make(np.clip(x.data, low, high), (x,), backward)
 
 
-def nonoverlapping_conv1d(x: Tensor, weight: Tensor, bias: Tensor,
-                          window: int) -> Tensor:
-    """Non-overlapping 1-D convolution (Eqn. 7 of the paper).
-
-    Parameters
-    ----------
-    x:
-        ``(..., T)`` signal; ``T`` must be divisible by ``window``.
-    weight:
-        ``(p, window)`` filter matrix.
-    bias:
-        ``(p,)`` bias.
-
-    Returns
-    -------
-    Tensor of shape ``(..., T // window, p)``: one feature vector per
-    window.
-    """
-    x = as_tensor(x)
-    length = x.shape[-1]
-    if length % window != 0:
-        raise ValueError(
-            f"series length {length} is not divisible by window {window}")
-    n_windows = length // window
-    reshaped = x.reshape(*x.shape[:-1], n_windows, window)
-    return reshaped @ as_tensor(weight).transpose() + as_tensor(bias)
-
-
 def positional_encoding(length: int, dim: int) -> np.ndarray:
     """Sinusoidal positional encoding (Eqn. 2 of the paper).
 

@@ -22,38 +22,6 @@ def mse_loss(prediction: Tensor, target, mask: Optional[np.ndarray] = None) -> T
     return (squared * Tensor(mask)).sum() / count
 
 
-def mae_loss(prediction: Tensor, target, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mean absolute error, optionally restricted to ``mask`` positions."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    absolute = (prediction - target).abs()
-    if mask is None:
-        return absolute.mean()
-    mask = np.asarray(mask, dtype=np.float64)
-    count = max(float(mask.sum()), 1.0)
-    return (absolute * Tensor(mask)).sum() / count
-
-
-def gaussian_nll_loss(mean: Tensor, target, log_variance: Tensor,
-                      mask: Optional[np.ndarray] = None) -> Tensor:
-    """Negative log-likelihood of ``target`` under N(mean, exp(log_variance)).
-
-    DeepMVI models each missing value with a Gaussian whose mean is the
-    network output and whose (shared) variance is a trainable scalar; this
-    loss implements Eqn. 6's probabilistic interpretation.
-    """
-    mean = as_tensor(mean)
-    target = as_tensor(target)
-    log_variance = as_tensor(log_variance)
-    diff = mean - target
-    nll = 0.5 * (log_variance + diff * diff / log_variance.exp())
-    if mask is None:
-        return nll.mean()
-    mask = np.asarray(mask, dtype=np.float64)
-    count = max(float(mask.sum()), 1.0)
-    return (nll * Tensor(mask)).sum() / count
-
-
 def kl_divergence_standard_normal(mean: Tensor, log_variance: Tensor) -> Tensor:
     """KL( N(mean, exp(log_var)) || N(0, 1) ), averaged over all elements.
 

@@ -56,14 +56,6 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_labels(labels: Optional[Mapping[str, object]]) -> str:
-    if not labels:
-        return ""
-    parts = [f'{_sanitise(str(key))}="{value}"'
-             for key, value in sorted(labels.items())]
-    return "{" + ",".join(parts) + "}"
-
-
 class Counter:
     """Monotonically non-decreasing count."""
 

@@ -4,7 +4,7 @@ signal, and kernel regression."""
 import numpy as np
 import pytest
 
-from repro.core.fine_grained import fine_grained_signal, local_neighbourhood_signal
+from repro.core.fine_grained import fine_grained_signal
 from repro.core.kernel_regression import KernelRegression
 from repro.core.temporal_transformer import TemporalTransformer
 
@@ -145,19 +145,6 @@ class TestFineGrained:
         window_avail = np.ones_like(window_values)
         out = fine_grained_signal(window_values, window_avail, np.array([1, 0]))
         np.testing.assert_allclose(out[:, 0], [2.0, 3.0])
-
-    def test_local_neighbourhood_signal(self):
-        series = np.arange(10, dtype=float)[None]
-        avail = np.ones_like(series)
-        avail[0, 5] = 0
-        out = local_neighbourhood_signal(series, avail, np.array([5]), radius=1)
-        assert out[0, 0] == pytest.approx(5.0)   # mean of 4 and 6
-
-    def test_local_neighbourhood_empty(self):
-        series = np.zeros((1, 5))
-        avail = np.zeros_like(series)
-        out = local_neighbourhood_signal(series, avail, np.array([2]), radius=2)
-        assert out[0, 0] == 0.0
 
 
 # --------------------------------------------------------------------------- #

@@ -89,6 +89,17 @@ class TestDeepMVIArtifacts:
         np.testing.assert_array_equal(restored.impute().values,
                                       imputer.impute().values)
 
+    def test_state_with_log_variance_loads_and_serves_identically(self, fitted):
+        """States saved while the network still had its untrained
+        ``log_variance`` parameter load without it."""
+        imputer, _ = fitted
+        state = imputer.get_state()
+        state["model"]["state_dict"]["log_variance"] = np.zeros((1,))
+        restored = DeepMVIImputer(config=DeepMVIConfig.fast()).set_state(state)
+        assert "log_variance" not in restored.model.state_dict()
+        np.testing.assert_array_equal(restored.impute().values,
+                                      imputer.impute().values)
+
     def test_train_once_impute_many(self, fitted, small_panel, tmp_path):
         """A model fitted on one scenario imputes other scenarios of the
         same dataset after a save/load round trip."""

@@ -1,6 +1,7 @@
 """Tests of the command-line interface."""
 
 import re
+import sys
 
 import pytest
 
@@ -79,6 +80,26 @@ class TestGatewayBenchCommand:
         output = capsys.readouterr().out
         assert "baseline" not in output
         assert "4/4" in output
+
+    def test_reject_admission_counts_each_request_once(self, capsys):
+        # Eight producers share the pass's counters; frequent thread
+        # switches would expose a lost update as a miscount.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code = main(["gateway-bench", "--dataset", "airq", "--method",
+                         "mean", "--size", "tiny", "--admission", "reject",
+                         "--queue-depth", "1", "--producers", "8",
+                         "--requests", "8", "--skip-baseline"])
+        finally:
+            sys.setswitchinterval(interval)
+        captured = capsys.readouterr()
+        rows = _table(captured.out)
+        delivered, offered = rows["requests delivered"].split("/")
+        assert offered == "64"
+        assert int(delivered) + int(rows["requests rejected"]) == 64
+        assert code == 0
+        assert "Traceback" not in captured.err
 
 
 class TestClusterBenchCommand:

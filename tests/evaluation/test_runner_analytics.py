@@ -18,7 +18,7 @@ from repro.evaluation.experiments import (
     list_experiments,
     scenario_for,
 )
-from repro.evaluation.reporting import format_series, format_table, pivot, results_to_rows
+from repro.evaluation.reporting import format_table, pivot, results_to_rows
 from repro.evaluation.runner import ExperimentResult, ExperimentRunner
 
 
@@ -144,10 +144,6 @@ class TestReportingAndExperiments:
         assert any("-" in line for line in lines[1:2])
         assert "0.300" in text
         assert "-" in lines[-1]          # climate has no CDRec entry
-
-    def test_format_series(self):
-        text = format_series({"DeepMVI": [0.1, 0.2]}, x_values=[10, 20], x_name="pct")
-        assert "pct" in text and "DeepMVI" in text and "0.200" in text
 
     def test_experiment_inventory_covers_all_paper_artifacts(self):
         identifiers = list_experiments()

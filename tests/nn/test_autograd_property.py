@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.nn.utils import numerical_gradient
+
+from tests.nn.conftest import numerical_gradient
 
 _settings = settings(max_examples=25, deadline=None)
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.nn.utils import numerical_gradient
+
+from tests.nn.conftest import numerical_gradient
 
 
 class TestSoftmax:
@@ -139,25 +140,6 @@ class TestDropoutWhereClip:
 
 
 class TestConvAndPositional:
-    def test_nonoverlapping_conv_shape(self, rng):
-        x = Tensor(rng.normal(size=(4, 20)))
-        weight = Tensor(rng.normal(size=(6, 5)))
-        bias = Tensor(np.zeros(6))
-        out = F.nonoverlapping_conv1d(x, weight, bias, window=5)
-        assert out.shape == (4, 4, 6)
-
-    def test_nonoverlapping_conv_matches_manual(self, rng):
-        x = rng.normal(size=(1, 6))
-        weight = rng.normal(size=(2, 3))
-        out = F.nonoverlapping_conv1d(Tensor(x), Tensor(weight), Tensor(np.zeros(2)), 3)
-        manual = np.stack([weight @ x[0, :3], weight @ x[0, 3:]], axis=0)
-        np.testing.assert_allclose(out.data[0], manual)
-
-    def test_nonoverlapping_conv_rejects_bad_length(self, rng):
-        with pytest.raises(ValueError):
-            F.nonoverlapping_conv1d(Tensor(np.zeros((1, 7))),
-                                    Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), 3)
-
     def test_positional_encoding_shape_and_range(self):
         enc = F.positional_encoding(50, 16)
         assert enc.shape == (50, 16)

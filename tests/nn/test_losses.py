@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import (
-    gaussian_nll_loss,
-    kl_divergence_standard_normal,
-    mae_loss,
-    mse_loss,
-)
+from repro.nn.losses import kl_divergence_standard_normal, mse_loss
 from repro.nn.tensor import Tensor
 
 
@@ -42,38 +37,6 @@ class TestMSE:
     def test_empty_mask_does_not_divide_by_zero(self):
         loss = mse_loss(Tensor([1.0]), Tensor([0.0]), mask=np.array([0.0]))
         assert np.isfinite(loss.item())
-
-
-class TestMAE:
-    def test_matches_numpy(self, rng):
-        a, b = rng.normal(size=(8,)), rng.normal(size=(8,))
-        expected = float(np.abs(a - b).mean())
-        assert mae_loss(Tensor(a), Tensor(b)).item() == pytest.approx(expected)
-
-    def test_masked(self):
-        loss = mae_loss(Tensor([5.0, 1.0]), Tensor([0.0, 1.0]), mask=np.array([0.0, 1.0]))
-        assert loss.item() == pytest.approx(0.0)
-
-
-class TestGaussianNLL:
-    def test_minimised_at_target_mean(self):
-        log_variance = Tensor([0.0])
-        at_target = gaussian_nll_loss(Tensor([2.0]), Tensor([2.0]), log_variance).item()
-        off_target = gaussian_nll_loss(Tensor([3.0]), Tensor([2.0]), log_variance).item()
-        assert at_target < off_target
-
-    def test_higher_variance_discounts_errors(self):
-        target = Tensor([0.0])
-        mean = Tensor([2.0])
-        low_var = gaussian_nll_loss(mean, target, Tensor([0.0])).item()
-        high_var = gaussian_nll_loss(mean, target, Tensor([3.0])).item()
-        assert high_var < low_var
-
-    def test_gradient_wrt_log_variance(self):
-        log_variance = Tensor([0.0], requires_grad=True)
-        gaussian_nll_loss(Tensor([2.0]), Tensor([0.0]), log_variance).backward()
-        # Error is large relative to variance: increasing variance reduces NLL.
-        assert log_variance.grad[0] < 0
 
 
 class TestKL:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
-from repro.nn.utils import numerical_gradient
+
+from tests.nn.conftest import numerical_gradient
 
 
 def _check_unary(op, x, tol=1e-5):

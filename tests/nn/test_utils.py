@@ -1,23 +1,8 @@
-"""Tests of nn utility helpers."""
+"""Tests of the finite-difference gradient oracle."""
 
 import numpy as np
 
-from repro.nn.utils import (
-    exponential_moving_average,
-    minibatches,
-    numerical_gradient,
-    seeded_rng,
-)
-
-
-class TestSeededRng:
-    def test_same_seed_same_stream(self):
-        a = seeded_rng(7).normal(size=5)
-        b = seeded_rng(7).normal(size=5)
-        np.testing.assert_allclose(a, b)
-
-    def test_different_seed_differs(self):
-        assert not np.allclose(seeded_rng(1).normal(size=5), seeded_rng(2).normal(size=5))
+from tests.nn.conftest import numerical_gradient
 
 
 class TestNumericalGradient:
@@ -30,29 +15,3 @@ class TestNumericalGradient:
         x = np.arange(6, dtype=float).reshape(2, 3)
         grad = numerical_gradient(lambda arr: float(arr.sum()), x)
         np.testing.assert_allclose(grad, np.ones((2, 3)), atol=1e-6)
-
-
-class TestMinibatches:
-    def test_covers_every_index_exactly_once(self, rng):
-        batches = list(minibatches(23, 5, rng))
-        flat = np.concatenate(batches)
-        assert sorted(flat.tolist()) == list(range(23))
-        assert len(batches) == 5
-        assert all(len(batch) == 5 for batch in batches[:-1])
-        assert len(batches[-1]) == 3
-
-    def test_shuffles(self, rng):
-        batches = list(minibatches(100, 100, rng))
-        assert not np.array_equal(batches[0], np.arange(100))
-
-
-class TestEMA:
-    def test_constant_series_unchanged(self):
-        assert exponential_moving_average([2.0, 2.0, 2.0]) == [2.0, 2.0, 2.0]
-
-    def test_smooths_towards_new_values(self):
-        smoothed = exponential_moving_average([0.0, 10.0], alpha=0.5)
-        assert smoothed == [0.0, 5.0]
-
-    def test_empty_input(self):
-        assert exponential_moving_average([]) == []
