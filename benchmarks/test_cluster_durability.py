@@ -19,15 +19,13 @@ duplicated, full dedupe — gated at face value), ``cluster.recovery_rate``
 a rate because the regression checker treats higher as better), plus
 ungated requests/sec throughput numbers for trajectory tracking.
 
-Results land in ``benchmarks/results/cluster.{txt,json}``; full mode also
-refreshes the repo-root ``BENCH_cluster.json``.  The CI bench-regression
-job re-runs this file in fast mode and gates the two metrics against
+Results land in ``benchmarks/results/cluster.{txt,json}``.  The CI
+bench-regression job re-runs this file in fast mode and gates the two metrics against
 ``benchmarks/baselines/cluster_fast.json`` via
 ``benchmarks/check_regression.py``.
 """
 
 import json
-import pathlib
 import time
 
 import numpy as np
@@ -40,8 +38,6 @@ from repro.data.missing import MissingScenario, apply_scenario
 from repro.evaluation.drills import kill_drill, window_traffic
 
 from benchmarks._harness import bench_dataset, emit, is_fast
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 N_SHARDS = 2
 SERVING_WINDOW = 25
@@ -156,9 +152,6 @@ def test_cluster_durability(results_dir, tmp_path):
          "\n".join(lines))
     (results_dir / "cluster.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        (REPO_ROOT / "BENCH_cluster.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
 
     assert exactly_once == 1.0, (
         f"exactly-once violated: lost={len(kill.lost)} "

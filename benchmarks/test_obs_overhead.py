@@ -43,7 +43,6 @@ e2e CPU ratio as context.  Results land in
 """
 
 import json
-import pathlib
 import statistics
 import threading
 import time
@@ -57,8 +56,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.cli import load_spans
 
 from benchmarks._harness import bench_dataset, emit, is_fast
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 N_PRODUCERS = 4
 SAMPLE_RATE = 0.10   # the gated production-style sampling rate
@@ -294,9 +291,6 @@ def test_obs_overhead(results_dir, tmp_path):
          "\n".join(lines))
     (results_dir / "obs.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        (REPO_ROOT / "BENCH_obs_overhead.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
 
     # Acceptance bars: 10%-sampled tracing costs at most 5% of serving
     # CPU (headroom >= 1), and a disabled hook stays under 1us.

@@ -16,23 +16,19 @@ static/online, gated — the loop must keep beating the frozen model),
 transition exactly once, gated at face value), plus ungated windows/sec
 and lifecycle counters for trajectory tracking.
 
-Results land in ``benchmarks/results/online.{txt,json}``; full mode
-also refreshes the repo-root ``BENCH_online.json``.  The CI
+Results land in ``benchmarks/results/online.{txt,json}``.  The CI
 bench-regression job re-runs this file in fast mode and gates the two
 metrics against ``benchmarks/baselines/online_fast.json`` via
 ``benchmarks/check_regression.py``.
 """
 
 import json
-import pathlib
 
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.evaluation.drills import drift_drill
 from repro.online import CanaryConfig, DriftConfig
 
 from benchmarks._harness import bench_dataset, emit, is_fast
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCENARIO = MissingScenario("mcar", {"incomplete_fraction": 0.3,
                                     "block_size": 4})
@@ -108,9 +104,6 @@ def test_online_drift_recovery(results_dir, tmp_path):
          "\n".join(lines))
     (results_dir / "online.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        (REPO_ROOT / "BENCH_online.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
 
     assert exactly_once == 1.0, (
         f"duplicate journal transitions: {drill.journal}")

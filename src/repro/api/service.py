@@ -395,6 +395,58 @@ def _fast_path_flags(imputer: BaseImputer, count: int) -> List[bool]:
     return [False] * count
 
 
+def _serve_group(batch: ServingBatch, requests: List[ImputeRequest],
+                 spans: List[dict]) -> List[ImputeResult]:
+    """Serve ``requests`` with one model call; their results, in order.
+
+    The call is ``serve_requests`` for a remote proxy (the cluster's
+    :class:`~repro.cluster.router.RemoteModel`, which ships the full
+    requests, trace contexts included, in one RPC) and ``impute_many``
+    for everything else.  A group of several requests is *fused*: its
+    results say so and share the call's time.  Each traced request's
+    serve span is appended to ``spans``; whatever the model raises
+    propagates.
+    """
+    imputer = batch.imputer
+    method = batch.method or getattr(imputer, "name", type(imputer).__name__)
+    # The model call can activate one context for the imputer-internal
+    # stage hooks, so the first traced request hosts them; every traced
+    # request still gets its own serve span below.
+    traced = [request.trace for request in requests
+              if request.trace is not None] if obs_trace.enabled() else []
+    serve_requests = getattr(imputer, "serve_requests", None)
+    with obs_trace.activate(traced[0] if traced else None):
+        start = time.perf_counter()
+        if callable(serve_requests):
+            completed_many = serve_requests(requests)
+        else:
+            completed_many = imputer.impute_many(
+                [request.data for request in requests])
+        end = time.perf_counter()
+    fused = len(requests) > 1
+    share = (end - start) / len(requests)
+    fast_flags = _fast_path_flags(imputer, len(requests))
+    name, attrs = ("serve.fused_forward", {"batch_size": len(requests)}) \
+        if fused else ("serve.impute", {})
+    spans.extend(
+        obs_trace.span_record(name, request.trace.child(), start, end,
+                              {**attrs, "fast_path": fast,
+                               "model_id": batch.model_id})
+        for request, fast in zip(requests, fast_flags)
+        if request.trace is not None)
+    return [ImputeResult(request_id=str(request.request_id),
+                         model_id=batch.model_id,
+                         method=method,
+                         completed=completed,
+                         runtime_seconds=share,
+                         latency_seconds=_latency(request, end, share),
+                         from_batch=True,
+                         fused=fused,
+                         fast_path=fast)
+            for request, completed, fast in zip(requests, completed_many,
+                                                fast_flags)]
+
+
 def execute_serving_batch(batch: ServingBatch) -> JobResult:
     """Run one micro-batch: impute every request with the batch's model.
 
@@ -403,113 +455,66 @@ def execute_serving_batch(batch: ServingBatch) -> JobResult:
     ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``:
     a request that fails is recorded there, never raised.
 
-    The batch is first served **fused**: one ``impute_many`` call completes
-    every request through shared forward passes (the whole point of
-    micro-batching — DeepMVI concatenates the requests' missing-cell batches
-    into single network calls).  If the fused call raises, the batch falls
-    back to per-request serving so the failure is isolated to the request
-    that caused it: one bad tensor never discards the finished imputations
-    of its batch siblings.
+    Requests are served in groups, one model call each: the whole batch
+    is one group when the model fuses (a remote proxy's
+    ``serve_requests``, or an ``impute_many`` that overrides the
+    per-request loop of :class:`~repro.baselines.base.BaseImputer`), and
+    each request is its own group otherwise.  A group of several requests
+    that raises is served again one request at a time, so the failure is
+    pinned to the request that caused it and never discards its siblings'
+    answers.
     """
     import traceback
 
-    key = batch.key()
     imputer = batch.imputer
-    method = batch.method or getattr(imputer, "name", type(imputer).__name__)
-
+    # The BaseImputer default is the same per-request loop as one-request
+    # groups, so serving it as one group would only double-execute the
+    # healthy requests whenever one fails.
+    fuses = callable(getattr(imputer, "serve_requests", None)) \
+        or type(imputer).impute_many is not BaseImputer.impute_many
+    groups = [list(batch.requests)] if fuses \
+        else [[request] for request in batch.requests]
     results: List[ImputeResult] = []
     failures: List[Dict[str, str]] = []
-    fused_results = None
-    # Remote proxies (the cluster's RemoteModel) expose ``serve_requests``,
-    # which ships the full requests — trace contexts included — across the
-    # RPC in one call instead of stripping them down to bare tensors.
-    serve_requests = getattr(imputer, "serve_requests", None)
-    # Only genuinely fused implementations are worth the all-or-nothing
-    # first attempt; the BaseImputer default is the same per-request loop
-    # as the fallback, so running it "fused" would just double-execute the
-    # healthy requests whenever one fails.
-    fuses = callable(serve_requests) or (type(imputer).impute_many
-                                         is not BaseImputer.impute_many)
-    # Tracing: the fused forward can only activate one context for the
-    # imputer-internal stage hooks, so the first traced request hosts them;
-    # every traced request still gets its own serve-stage span below.
-    traced = [request.trace for request in batch.requests
-              if request.trace is not None] if obs_trace.enabled() else []
-    if len(batch.requests) > 1 and fuses:
+    spans: List[dict] = []
+    while groups:
+        group = groups.pop(0)
         try:
-            with obs_trace.activate(traced[0] if traced else None):
-                start = time.perf_counter()
-                if callable(serve_requests):
-                    completed_many = serve_requests(batch.requests)
-                else:
-                    completed_many = imputer.impute_many(
-                        [request.data for request in batch.requests])
-                end = time.perf_counter()
-            share = (end - start) / len(batch.requests)
-            fast_flags = _fast_path_flags(imputer, len(batch.requests))
-            fused_results = [
-                ImputeResult(
-                    request_id=str(request.request_id),
-                    model_id=batch.model_id,
-                    method=method,
-                    completed=completed,
-                    runtime_seconds=share,
-                    latency_seconds=_latency(request, end, share),
-                    from_batch=True,
-                    fused=True,
-                    fast_path=fast,
-                )
-                for request, completed, fast in zip(
-                    batch.requests, completed_many, fast_flags)
-            ]
-            obs_trace.write_records([
-                obs_trace.span_record(
-                    "serve.fused_forward", request.trace.child(), start, end,
-                    {"batch_size": len(batch.requests), "fast_path": fast,
-                     "model_id": batch.model_id})
-                for request, fast in zip(batch.requests, fast_flags)
-                if request.trace is not None])
-        except Exception:  # repro-lint: allow[swallow]
-            # One request poisoned the fused pass; re-serve one-at-a-time so
-            # the healthy requests still complete and the failure is pinned
-            # to its request id (the per-request loop below captures the
-            # real traceback).
-            fused_results = None
-    if fused_results is not None:
-        return JobResult(key=key, result={"results": fused_results,
-                                          "failures": []})
-
-    serve_spans: List[dict] = []
-    for request in batch.requests:
-        try:
-            with obs_trace.activate(request.trace):
-                start = time.perf_counter()
-                if callable(serve_requests):
-                    completed = serve_requests([request])[0]
-                else:
-                    completed = imputer.impute(request.data)
-                end = time.perf_counter()
-            fast = _fast_path_flags(imputer, 1)[0]
-            if request.trace is not None:
-                serve_spans.append(obs_trace.span_record(
-                    "serve.impute", request.trace.child(), start, end,
-                    {"fast_path": fast, "model_id": batch.model_id}))
-            results.append(ImputeResult(
-                request_id=str(request.request_id),
-                model_id=batch.model_id,
-                method=method,
-                completed=completed,
-                runtime_seconds=end - start,
-                latency_seconds=_latency(request, end, end - start),
-                from_batch=True,
-                fast_path=fast,
-            ))
+            results.extend(_serve_group(batch, group, spans))
         except Exception:
-            failures.append({"request_id": str(request.request_id),
-                             "error": traceback.format_exc()})
-    obs_trace.write_records(serve_spans)
-    return JobResult(key=key,
+            if len(group) > 1:
+                # serve its requests alone, next, to pin the failure
+                groups[:0] = [[request] for request in group]
+            else:
+                failures.append({"request_id": str(group[0].request_id),
+                                 "error": traceback.format_exc()})
+    obs_trace.write_records(spans)
+    return JobResult(key=batch.key(),
                      result={"results": results, "failures": failures})
+
+
+def ordered_results(request_ids: Sequence[str],
+                    results: Dict[str, ImputeResult],
+                    errors: Dict[str, str],
+                    raise_on_error: bool) -> List[ImputeResult]:
+    """The tail of every ``gather``: results in submit order, or a raise.
+
+    ``request_ids`` lists the sweep's requests in submit order;
+    ``results`` and ``errors`` (request id -> traceback) are what serving
+    left.  With ``raise_on_error`` any error raises
+    :class:`ServiceError` whose ``partial_results`` holds the ordered
+    successes.
+    """
+    ordered = [results[request_id] for request_id in request_ids
+               if request_id in results]
+    if errors and raise_on_error:
+        error = ServiceError(
+            f"{len(errors)} of {len(request_ids)} request(s) failed "
+            f"({', '.join(sorted(errors))}); first error:\n"
+            f"{next(iter(errors.values()))}")
+        error.partial_results = ordered
+        raise error
+    return ordered
 
 
 # ---------------------------------------------------------------------- #
@@ -755,16 +760,9 @@ class ImputationService:
                 by_id[result.request_id] = result
             for failure in job.result["failures"]:
                 self.last_errors[failure["request_id"]] = failure["error"]
-        ordered = [by_id[str(request.request_id)] for request in pending
-                   if str(request.request_id) in by_id]
-        if self.last_errors and raise_on_error:
-            error = ServiceError(
-                f"{len(self.last_errors)} of {len(pending)} request(s) "
-                f"failed ({', '.join(sorted(self.last_errors))}); "
-                f"first error:\n{next(iter(self.last_errors.values()))}")
-            error.partial_results = ordered
-            raise error
-        return ordered
+        return ordered_results([str(request.request_id)
+                                for request in pending],
+                               by_id, self.last_errors, raise_on_error)
 
     # -- introspection -------------------------------------------------- #
     def list_models(self) -> List[str]:

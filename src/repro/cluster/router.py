@@ -8,6 +8,15 @@ protocol.  It is deliberately shaped like
 the serving :class:`~repro.gateway.Gateway` can front a whole cluster
 unchanged (``Gateway(service=router)``).
 
+Every ``serve`` RPC goes through one helper, whether it carries a
+``gather`` sweep's queued requests or a gateway batch
+(:class:`RemoteModel`) or a synchronous :meth:`ClusterRouter.impute`:
+it encodes the requests, ships each traced request's ``cluster.rpc``
+context on the wire (so the shard's spans nest under the RPC span) and
+decodes the shard's results and failures.  ``gather`` ends the way
+:meth:`ImputationService.gather` does: results in submit order, or a
+:class:`~repro.exceptions.ServiceError` carrying the partial results.
+
 Failure handling is where the durability work pays off: when a shard
 connection dies mid-call, the router restarts the shard over its durable
 directory and **resends the same request ids**.  The shard's journal
@@ -28,11 +37,16 @@ import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.refs import ModelRef
 from repro.api.requests import FitRequest, ImputeRequest, ImputeResult
-from repro.api.service import TensorLike, as_tensor, coerce_impute_request
+from repro.api.service import (
+    TensorLike,
+    as_tensor,
+    coerce_impute_request,
+    ordered_results,
+)
 from repro.api.telemetry import MetricsSnapshot
 from repro.api.versioning import VersionRegistry
 from repro.cluster.ring import HashRing
@@ -91,8 +105,9 @@ class RemoteModel:
     for the whole batch — the router-side analogue of a fused forward
     call) and ``last_impute_info``, so fast-path flags flow into gateway
     telemetry.  Deliberately *not* a ``BaseImputer``: having
-    ``serve_requests`` is what makes ``execute_serving_batch`` fuse a
-    gateway batch into that single RPC.
+    ``serve_requests`` is what makes ``execute_serving_batch`` call it,
+    with the whole gateway batch as one group, in place of
+    ``impute_many``.
     """
 
     name = "remote"
@@ -107,17 +122,14 @@ class RemoteModel:
     def serve_requests(self, requests: Sequence[ImputeRequest]) -> List:
         """Serve full requests in one RPC; returns their completed tensors.
 
-        ``execute_serving_batch`` calls this in place of ``impute_many``
-        and ``impute``, so a traced gateway batch keeps its contexts
-        across the RPC boundary instead of being stripped down to bare
-        tensors.  The router still mints its own request ids — gateway
-        ids are per-gateway counters, not the globally-unique keys the
-        exactly-once ledger needs.
+        The requests keep their trace contexts across the RPC boundary.
+        The router mints their ids: gateway ids are per-gateway counters,
+        not the globally-unique keys the exactly-once ledger needs.
         """
         results = self._router._serve_remote(
-            self.model_id,
-            [request.data for request in requests],
-            traces=[request.trace for request in requests])
+            [dataclasses.replace(request, model_id=self.model_id,
+                                 request_id=None)
+             for request in requests])
         self.last_impute_info = [
             {"fast_path": result.fast_path, "fused": result.fused}
             for result in results]
@@ -234,7 +246,9 @@ class ClusterRouter:
         #: per-router id nonce: a restarted router must never mint an id a
         #: previous router already burned into a shard's ledger
         self._nonce = uuid.uuid4().hex[:8]
-        self._pending: List[Dict] = []
+        #: queued ``(request, deadline_at)`` pairs; each request carries
+        #: its router id and admission stamp
+        self._pending: List[Tuple[ImputeRequest, Optional[float]]] = []
         self._pending_ids: set = set()
         #: request id -> traceback for the most recent gather()
         self.last_errors: Dict[str, str] = {}
@@ -416,6 +430,16 @@ class ClusterRouter:
             request = dataclasses.replace(request, model_id=concrete)
         return request
 
+    def _next_request_id(self) -> str:
+        self._request_counter += 1
+        return f"req-{self._nonce}-{self._request_counter:06d}"
+
+    def _deadline_at(self, now: float,
+                     deadline_ms: Optional[float]) -> Optional[float]:
+        deadline_ms = (self.default_deadline_ms
+                       if deadline_ms is None else deadline_ms)
+        return None if deadline_ms is None else now + deadline_ms / 1000.0
+
     def submit(self, request=None, model_id=None,
                deadline_ms: Optional[float] = None) -> str:
         """Queue one request for the next :meth:`gather`; returns its id."""
@@ -425,36 +449,26 @@ class ClusterRouter:
             raise ServiceError(
                 f"unknown model id {request.model_id!r}; fit() a model "
                 "through this router first")
-        if request.request_id is None:
-            self._request_counter += 1
-            request_id = f"req-{self._nonce}-{self._request_counter:06d}"
-        else:
-            request_id = str(request.request_id)
+        request_id = str(request.request_id) \
+            if request.request_id is not None else self._next_request_id()
         if request_id in self._pending_ids:
             raise ValidationError(
                 f"request id {request_id!r} is already queued")
         now = time.perf_counter()
-        deadline_ms = (self.default_deadline_ms
-                       if deadline_ms is None else deadline_ms)
         # Tracing front door for direct router use (the gateway path stamps
-        # upstream): mint a sampled root and ship a child on the wire so
-        # shard spans parent under it.
+        # upstream): mint a sampled root; the serve RPC parents the shard's
+        # spans under it.
         ctx = request.trace
         if ctx is None and obs_trace.enabled():
             ctx = obs_trace.start_trace()
             if ctx is not None:
-                request = dataclasses.replace(request, trace=ctx)
                 obs_trace.write_span("cluster.submit", ctx, now,
                                      time.perf_counter(),
                                      {"request_id": request_id})
-        wire = request.to_dict()
-        wire["request_id"] = request_id
-        self._pending.append({
-            "request": wire,
-            "enqueued_at": now,
-            "deadline_at": (None if deadline_ms is None
-                            else now + deadline_ms / 1000.0),
-        })
+        self._pending.append((
+            dataclasses.replace(request, request_id=request_id,
+                                enqueued_at=now, trace=ctx),
+            self._deadline_at(now, deadline_ms)))
         self._pending_ids.add(request_id)
         return request_id
 
@@ -465,130 +479,102 @@ class ClusterRouter:
         requests (the shard micro-batches them per model).  A shard dying
         mid-call is restarted and the same entries are resent — the
         exactly-once ledger turns the resend into idempotent delivery.
+        Failures and the raise follow :meth:`ImputationService.gather`.
         """
         if not self._pending:
             return []
         pending, self._pending = self._pending, []
         self._pending_ids = set()
-        by_owner: Dict[str, List[Dict]] = {}
-        for entry in pending:
-            owner = self.ring.assign(entry["request"]["model_id"])
-            by_owner.setdefault(owner, []).append(entry)
+        by_owner: Dict[str, List[Tuple[ImputeRequest, Optional[float]]]] = {}
+        for queued in pending:
+            by_owner.setdefault(self.ring.assign(queued[0].model_id),
+                                []).append(queued)
         results: Dict[str, ImputeResult] = {}
         self.last_errors = {}
         self.last_deduped = 0
-        for owner, entries in by_owner.items():
-            call_start = time.perf_counter()
+        for owner, queued in by_owner.items():
             try:
-                reply = self._call(owner, {"op": "serve",
-                                           "entries": entries})
+                served, errors, deduped = self._send_serve(owner, queued)
             except (ServiceError, ConnectionError, OSError) as error:
-                for entry in entries:
-                    self.last_errors[entry["request"]["request_id"]] = \
-                        str(error)
-                continue
-            if obs_trace.enabled():
-                call_end = time.perf_counter()
-                for entry in entries:
-                    ctx = obs_trace.TraceContext.from_wire(
-                        entry["request"].get("trace"))
-                    if ctx is not None:
-                        obs_trace.write_span(
-                            "cluster.rpc", ctx.child(), call_start,
-                            call_end, {"shard": owner,
-                                       "batch_size": len(entries)})
-            self.last_deduped += int(reply.get("deduped", 0))
-            for request_id, wire in reply["results"].items():
-                results[request_id] = ImputeResult.from_dict(wire)
-            for failure in reply["failures"]:
-                self.last_errors[failure["request_id"]] = failure["error"]
-        ordered = [results[entry["request"]["request_id"]]
-                   for entry in pending
-                   if entry["request"]["request_id"] in results]
-        if self.last_errors and raise_on_error:
-            error = ServiceError(
-                f"{len(self.last_errors)} of {len(pending)} request(s) "
-                f"failed ({', '.join(sorted(self.last_errors))}); "
-                f"first error:\n{next(iter(self.last_errors.values()))}")
-            error.partial_results = ordered
-            raise error
-        return ordered
+                served, deduped = {}, 0
+                errors = {request.request_id: str(error)
+                          for request, _ in queued}
+            results.update(served)
+            self.last_errors.update(errors)
+            self.last_deduped += deduped
+        return ordered_results([request.request_id for request, _ in pending],
+                               results, self.last_errors, raise_on_error)
 
     def impute(self, request=None, model_id=None,
                deadline_ms: Optional[float] = None) -> ImputeResult:
         """Serve one request immediately (no queueing)."""
         request = self._resolve_request(
             coerce_impute_request(request, model_id))
-        results = self._serve_remote(
-            request.model_id,
-            [request.data],
-            request_ids=[str(request.request_id)]
-            if request.request_id is not None else None,
-            deadline_ms=deadline_ms)
-        return results[0]
+        return self._serve_remote([request], deadline_ms=deadline_ms)[0]
 
-    def _serve_remote(self, model_id: str, tensors: List,
-                      request_ids: Optional[List[str]] = None,
+    def _serve_remote(self, requests: Sequence[ImputeRequest],
                       deadline_ms: Optional[float] = None,
-                      traces: Optional[List] = None,
                       ) -> List[ImputeResult]:
-        """Serve ``tensors`` against one model in a single shard RPC.
+        """Serve one model's ``requests`` now, in a single shard RPC.
 
-        ``traces`` (parallel to ``tensors``) carries the callers'
-        :class:`~repro.obs.TraceContext`\\ s across the hop: each traced
-        request gets an RPC child context written as its ``cluster.rpc``
-        span here and shipped in the wire payload so the shard's spans
-        parent under it.
+        A request without an id gets a fresh router id.  Raises
+        :class:`ServiceError` when any request fails on the shard.
         """
         now = time.perf_counter()
-        deadline_ms = (self.default_deadline_ms
-                       if deadline_ms is None else deadline_ms)
+        deadline_at = self._deadline_at(now, deadline_ms)
+        queued = [(dataclasses.replace(
+                       request, enqueued_at=now,
+                       request_id=self._next_request_id()
+                       if request.request_id is None
+                       else str(request.request_id)), deadline_at)
+                  for request in requests]
+        owner = self.ring.assign(queued[0][0].model_id)
+        results, errors, self.last_deduped = self._send_serve(owner, queued)
+        if errors:
+            request_id, error = next(iter(errors.items()))
+            raise ServiceError(
+                f"{len(errors)} request(s) failed on shard {owner!r}; "
+                f"first ({request_id!r}):\n{error}")
+        return [results[request.request_id] for request, _ in queued]
+
+    def _send_serve(self, owner: str,
+                    queued: List[Tuple[ImputeRequest, Optional[float]]]
+                    ) -> Tuple[Dict[str, ImputeResult], Dict[str, str], int]:
+        """One ``serve`` RPC to ``owner``; its results, errors, ledger hits.
+
+        ``queued`` holds ``(request, deadline_at)`` pairs whose requests
+        carry their router id and admission stamp.  A traced request
+        crosses the wire with a ``cluster.rpc`` child context, so its
+        ``wire.encode`` span, the RPC span written here and every span the
+        shard writes for it nest under the RPC.  Transport failures raise
+        (after :meth:`_call`'s restart-and-resend).
+        """
+        start = time.perf_counter()
         entries = []
         rpc_ctxs = []
-        for index, tensor in enumerate(tensors):
-            if request_ids is not None:
-                request_id = request_ids[index]
-            else:
-                self._request_counter += 1
-                request_id = f"req-{self._nonce}-{self._request_counter:06d}"
-            ctx = traces[index] if traces is not None else None
-            rpc_ctx = ctx.child() if ctx is not None \
-                and obs_trace.enabled() else None
+        for request, deadline_at in queued:
             encode_start = time.perf_counter()
-            wire = ImputeRequest(
-                model_id=model_id,
-                data=as_tensor(tensor) if tensor is not None else None,
-                request_id=request_id,
-                trace=rpc_ctx).to_dict()
-            if rpc_ctx is not None:
+            wire = request.to_dict()
+            if request.trace is not None and obs_trace.enabled():
+                rpc_ctx = request.trace.child()
+                wire["trace"] = rpc_ctx.to_wire()
                 obs_trace.write_span("wire.encode", rpc_ctx.child(),
                                      encode_start, time.perf_counter())
                 rpc_ctxs.append(rpc_ctx)
-            entries.append({
-                "request": wire,
-                "enqueued_at": now,
-                "deadline_at": (None if deadline_ms is None
-                                else now + deadline_ms / 1000.0),
-            })
-        owner = self.ring.assign(model_id)
+            entries.append({"request": wire,
+                            "enqueued_at": request.enqueued_at,
+                            "deadline_at": deadline_at})
         reply = self._call(owner, {"op": "serve", "entries": entries})
-        call_end = time.perf_counter()
+        end = time.perf_counter()
         for rpc_ctx in rpc_ctxs:
-            # Spans from encode through reply: the shard-side spans (which
-            # the wire context parents) land inside this window.
-            obs_trace.write_span("cluster.rpc", rpc_ctx, now, call_end,
+            obs_trace.write_span("cluster.rpc", rpc_ctx, start, end,
                                  {"shard": owner,
                                   "batch_size": len(entries)})
-        self.last_deduped = int(reply.get("deduped", 0))
-        if reply["failures"]:
-            first = reply["failures"][0]
-            raise ServiceError(
-                f"{len(reply['failures'])} request(s) failed on shard "
-                f"{owner!r}; first ({first['request_id']!r}):\n"
-                f"{first['error']}")
-        return [ImputeResult.from_dict(
-                    reply["results"][entry["request"]["request_id"]])
-                for entry in entries]
+        results = {request_id: ImputeResult.from_dict(wire)
+                   for request_id, wire in reply["results"].items()}
+        errors = {failure["request_id"]: failure["error"]
+                  for failure in reply["failures"]}
+        return results, errors, int(reply.get("deduped", 0))
 
     # -- introspection ---------------------------------------------------- #
     def pending_count(self) -> int:

@@ -15,9 +15,10 @@ Durability contract per ``serve`` request:
 3. results are committed idempotently, then answered.
 
 A shard killed between (2) and (3) owes answers: :func:`replay_pending`
-(run at startup) re-serves every journaled-but-unanswered request, so the
-router's resend after a restart either hits the ledger (already served) or
-completes the replayed result — exactly once either way.
+(run at startup) re-serves every journaled-but-unanswered request through
+the same :func:`serve_and_commit` as live traffic, so the router's resend
+after a restart either hits the ledger (already served) or completes the
+replayed result — exactly once either way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.requests import FitRequest, ImputeRequest
 from repro.api.service import (
@@ -46,7 +47,7 @@ from repro.engine.artifacts import load_imputer_bytes
 from repro.obs import trace as obs_trace
 
 __all__ = ["ShardHandle", "ShardServer", "recv_message", "replay_pending",
-           "send_message", "start_shard"]
+           "send_message", "serve_and_commit", "start_shard"]
 
 _LENGTH = struct.Struct(">I")
 
@@ -91,49 +92,117 @@ def recv_message(sock: socket.socket) -> Optional[Dict]:
 
 
 # ---------------------------------------------------------------------- #
-# replay
+# serving and replay
 # ---------------------------------------------------------------------- #
+def serve_and_commit(store: DurableStore, service: ImputationService,
+                     model_id: str, entries: List[Dict], shard: str
+                     ) -> Tuple[Dict[str, Dict], List[Dict[str, str]], int]:
+    """Serve one model's journaled requests and commit each answer once.
+
+    Shared by live ``serve`` RPCs and :func:`replay_pending`.  ``entries``
+    are serve-RPC entries, ``{"request": wire, "enqueued_at": stamp}``
+    (replayed ones carry no stamp).  The batch runs through
+    :func:`~repro.api.service.execute_serving_batch`; each result then
+    commits through the exactly-once ledger, and one the ledger already
+    holds is answered with its stored copy.  A model the shard does not
+    store fails every entry.  Failures are journaled, so replay stops
+    retrying them.
+
+    Returns ``(results, failures, deduped)``: request id -> wire result,
+    ``[{request_id, error}]`` and the number of ledger hits.
+    """
+    results: Dict[str, Dict] = {}
+    deduped = 0
+    if model_id not in service.store:
+        failures = [{"request_id": entry["request"]["request_id"],
+                     "error": f"unknown model id {model_id!r} on shard "
+                              f"{shard!r} (stale ring?)"}
+                    for entry in entries]
+    else:
+        requests = []
+        # request_id -> the shard-serve span context minted for it;
+        # written after commit so the span covers serve + commit.
+        serve_ctxs: Dict[str, obs_trace.TraceContext] = {}
+        for entry in entries:
+            decode_start = time.perf_counter()
+            request = ImputeRequest.from_dict(entry["request"])
+            decode_end = time.perf_counter()
+            if entry.get("enqueued_at") is not None:
+                # perf_counter is CLOCK_MONOTONIC system-wide, so the
+                # router's admission stamp is meaningful here and
+                # latency_seconds reports true queue wait + compute.
+                request = dataclasses.replace(
+                    request, enqueued_at=float(entry["enqueued_at"]))
+            if obs_trace.enabled() and request.trace is not None:
+                obs_trace.write_span("wire.decode", request.trace.child(),
+                                     decode_start, decode_end,
+                                     {"shard": shard})
+                # Re-stamp with the shard-serve context so the serving
+                # spans written inside execute_serving_batch parent under
+                # ``shard.serve`` rather than the RPC span.
+                serve_ctx = request.trace.child()
+                request = dataclasses.replace(request, trace=serve_ctx)
+                serve_ctxs[str(request.request_id)] = serve_ctx
+            requests.append(request)
+        batch = ServingBatch(model_id=model_id,
+                             method=service.store.method_for(model_id),
+                             requests=requests,
+                             imputer=service.store.get(model_id))
+        serve_start = time.perf_counter()
+        job = execute_serving_batch(batch)
+        for result in job.result["results"]:
+            wire_result = result.to_dict()
+            commit_start = time.perf_counter()
+            inserted = store.commit_result(
+                result.request_id, model_id, wire_result,
+                latency_seconds=result.latency_seconds,
+                fused=result.fused, fast_path=result.fast_path)
+            serve_ctx = serve_ctxs.get(result.request_id)
+            if serve_ctx is not None:
+                end = time.perf_counter()
+                obs_trace.write_span("shard.commit", serve_ctx.child(),
+                                     commit_start, end, {"shard": shard})
+                obs_trace.write_span(
+                    "shard.serve", serve_ctx, serve_start, end,
+                    {"shard": shard, "model_id": model_id,
+                     "fast_path": result.fast_path, "fused": result.fused,
+                     "batch_size": len(requests)})
+            if not inserted:
+                deduped += 1
+                wire_result = store.get_result(result.request_id)
+            results[result.request_id] = wire_result
+        failures = job.result["failures"]
+    for failure in failures:
+        store.mark_failed(failure["request_id"], model_id, failure["error"])
+    return results, failures, deduped
+
+
 def replay_pending(store: DurableStore,
                    service: ImputationService) -> Dict[str, int]:
     """Serve every journaled-but-unanswered request; idempotent.
 
-    Requests whose model the shard no longer stores (a stale ring handed
-    the request to the wrong shard, or the model was discarded) are marked
-    failed so replay does not retry them forever.  Results commit through
-    the exactly-once ledger, so replaying a request whose result *did*
-    land before the crash is a no-op.
+    Runs at shard start, through the same :func:`serve_and_commit` as
+    live traffic, one batch per model in admission order.  Requests whose
+    model the shard no longer stores (a stale ring handed the request to
+    the wrong shard, or the model was discarded) are marked failed and
+    counted as ``stale``, so replay does not retry them forever.  A
+    request whose result *did* land before the crash dedupes through the
+    ledger.
     """
     pending = store.pending_requests()
     summary = {"pending": len(pending), "replayed": 0, "deduped": 0,
                "stale": 0, "failed": 0}
     by_model: Dict[str, List[Dict]] = {}
     for entry in pending:
-        by_model.setdefault(entry["model_id"], []).append(entry)
+        by_model.setdefault(entry["model_id"], []).append(
+            {"request": entry["payload"]})
     for model_id, entries in by_model.items():
-        if model_id not in service.store:
-            for entry in entries:
-                store.mark_failed(
-                    entry["request_id"], model_id,
-                    "model not stored on this shard (stale ring?)")
-            summary["stale"] += len(entries)
-            continue
-        requests = [ImputeRequest.from_dict(entry["payload"])
-                    for entry in entries]
-        batch = ServingBatch(model_id=model_id,
-                             method=service.store.method_for(model_id),
-                             requests=requests,
-                             imputer=service.store.get(model_id))
-        job = execute_serving_batch(batch)
-        for result in job.result["results"]:
-            inserted = store.commit_result(
-                result.request_id, model_id, result.to_dict(),
-                latency_seconds=result.latency_seconds,
-                fused=result.fused, fast_path=result.fast_path)
-            summary["replayed" if inserted else "deduped"] += 1
-        for failure in job.result["failures"]:
-            store.mark_failed(failure["request_id"], model_id,
-                              failure["error"])
-            summary["failed"] += 1
+        stale = model_id not in service.store
+        results, failures, deduped = serve_and_commit(
+            store, service, model_id, entries, store.directory.name)
+        summary["replayed"] += len(results) - deduped
+        summary["deduped"] += deduped
+        summary["stale" if stale else "failed"] += len(failures)
     return summary
 
 
@@ -242,7 +311,7 @@ class ShardServer:
         results: Dict[str, Dict] = {}
         failures: List[Dict[str, str]] = []
         deduped = 0
-        live: List[Dict] = []
+        by_model: Dict[str, List[Dict]] = {}
         for entry in payload["entries"]:
             wire = entry["request"]
             request_id = wire.get("request_id")
@@ -274,82 +343,13 @@ class ShardServer:
                     obs_trace.write_span("shard.journal", rpc_ctx.child(),
                                          journal_start, time.perf_counter(),
                                          {"shard": self.name})
-            live.append(entry)
-
-        by_model: Dict[str, List[Dict]] = {}
-        for entry in live:
-            by_model.setdefault(entry["request"]["model_id"],
-                                []).append(entry)
+            by_model.setdefault(wire["model_id"], []).append(entry)
         for model_id, entries in by_model.items():
-            if model_id not in self.service.store:
-                for entry in entries:
-                    request_id = entry["request"]["request_id"]
-                    message = (f"unknown model id {model_id!r} "
-                               f"on shard {self.name!r}")
-                    self.store.mark_failed(request_id, model_id, message)
-                    failures.append({"request_id": request_id,
-                                     "error": message})
-                continue
-            requests = []
-            # request_id -> the shard-serve span context minted for it;
-            # written after commit so the span covers serve + commit.
-            serve_ctxs: Dict[str, obs_trace.TraceContext] = {}
-            for entry in entries:
-                decode_start = time.perf_counter()
-                request = ImputeRequest.from_dict(entry["request"])
-                decode_end = time.perf_counter()
-                if entry.get("enqueued_at") is not None:
-                    # perf_counter is CLOCK_MONOTONIC system-wide, so the
-                    # router's admission stamp is meaningful here and
-                    # latency_seconds reports true queue wait + compute.
-                    request = dataclasses.replace(
-                        request, enqueued_at=float(entry["enqueued_at"]))
-                if obs_trace.enabled() and request.trace is not None:
-                    obs_trace.write_span("wire.decode",
-                                         request.trace.child(),
-                                         decode_start, decode_end,
-                                         {"shard": self.name})
-                    # Re-stamp with the shard-serve context so the serving
-                    # spans written inside execute_serving_batch parent
-                    # under ``shard.serve`` rather than the RPC span.
-                    serve_ctx = request.trace.child()
-                    request = dataclasses.replace(request, trace=serve_ctx)
-                    serve_ctxs[str(request.request_id)] = serve_ctx
-                requests.append(request)
-            batch = ServingBatch(
-                model_id=model_id,
-                method=self.service.store.method_for(model_id),
-                requests=requests,
-                imputer=self.service.store.get(model_id))
-            serve_start = time.perf_counter()
-            job = execute_serving_batch(batch)
-            for result in job.result["results"]:
-                wire_result = result.to_dict()
-                commit_start = time.perf_counter()
-                inserted = self.store.commit_result(
-                    result.request_id, model_id, wire_result,
-                    latency_seconds=result.latency_seconds,
-                    fused=result.fused, fast_path=result.fast_path)
-                serve_ctx = serve_ctxs.get(result.request_id)
-                if serve_ctx is not None:
-                    end = time.perf_counter()
-                    obs_trace.write_span("shard.commit", serve_ctx.child(),
-                                         commit_start, end,
-                                         {"shard": self.name})
-                    obs_trace.write_span(
-                        "shard.serve", serve_ctx, serve_start, end,
-                        {"shard": self.name, "model_id": model_id,
-                         "fast_path": result.fast_path,
-                         "fused": result.fused,
-                         "batch_size": len(requests)})
-                if not inserted:
-                    deduped += 1
-                    wire_result = self.store.get_result(result.request_id)
-                results[result.request_id] = wire_result
-            for failure in job.result["failures"]:
-                self.store.mark_failed(failure["request_id"], model_id,
-                                       failure["error"])
-                failures.append(failure)
+            served, failed, hits = serve_and_commit(
+                self.store, self.service, model_id, entries, self.name)
+            results.update(served)
+            failures.extend(failed)
+            deduped += hits
         return {"ok": True, "results": results, "failures": failures,
                 "deduped": deduped}
 

@@ -422,8 +422,8 @@ class SQLiteBackend:
         self.store = store
 
     def location(self, model_id: str) -> Optional[str]:
-        # Blobs have no artifact directory; parallel path-shipping serving
-        # falls back to live-imputer batches, which is what a shard wants.
+        # Blobs have no artifact directory, so there is no path to report
+        # (ModelStore.path() reads None; refit provenance is not stamped).
         return None
 
     def save(self, model_id: str, imputer: BaseImputer,

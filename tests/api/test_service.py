@@ -30,15 +30,6 @@ class BrokenImputer(MeanImputer):
         raise RuntimeError("boom at serve time")
 
 
-class PickyImputer(MeanImputer):
-    """Serves the fitted tensor but rejects any explicitly passed one."""
-
-    def impute(self, tensor=None):
-        if tensor is not None:
-            raise RuntimeError("explicit tensors rejected")
-        return super().impute(tensor)
-
-
 @pytest.fixture
 def counting_registry():
     CountingMeanImputer.fit_calls = 0
@@ -226,22 +217,6 @@ class TestGatherFailures:
         assert [r.model_id for r in results] == [good, good]
         assert len(service.last_errors) == 1
         assert "boom at serve time" in next(iter(service.last_errors.values()))
-
-    def test_bad_request_does_not_poison_batch_siblings(self, masked_panel):
-        # Two good requests and one bad one against the SAME model: the
-        # siblings' finished imputations must survive.
-        _, incomplete, _, _ = masked_panel
-        registry = ImputerRegistry()
-        registry.register(MethodInfo("picky", PickyImputer))
-        service = api.ImputationService(registry=registry)
-        model_id = service.fit(incomplete, method="picky")
-        ok_1 = service.submit(api.ImputeRequest(model_id=model_id))
-        bad = service.submit(api.ImputeRequest(
-            model_id=model_id, data=incomplete.copy()))  # triggers PickyImputer
-        ok_2 = service.submit(api.ImputeRequest(model_id=model_id))
-        results = service.gather(raise_on_error=False)
-        assert [r.request_id for r in results] == [ok_1, ok_2]
-        assert set(service.last_errors) == {bad}
 
 
 class TestModelStore:

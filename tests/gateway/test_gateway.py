@@ -97,20 +97,6 @@ def _windows(incomplete, count, width=24, stride=7):
 
 
 class TestServingCorrectness:
-    def test_results_match_direct_impute(self, mean_service, incomplete):
-        service, model_id = mean_service
-        windows = _windows(incomplete, 6)
-        direct = [service.impute(w, model_id=model_id) for w in windows]
-        with Gateway(service, GatewayConfig(max_batch_size=4,
-                                            max_wait_ms=5.0)) as gateway:
-            futures = gateway.submit_many(windows, model_id=model_id)
-            served = [future.result(timeout=10.0) for future in futures]
-        for one, many in zip(direct, served):
-            np.testing.assert_array_equal(one.completed.values,
-                                          many.completed.values)
-            assert many.from_batch
-            assert many.latency_seconds > 0
-
     def test_caller_request_ids_are_preserved(self, mean_service,
                                               incomplete):
         service, model_id = mean_service

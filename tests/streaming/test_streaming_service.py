@@ -217,11 +217,6 @@ class TestServing:
         assert refit_model != model_id
         assert svc.service.store.method_for(refit_model) == "mean"
 
-    def test_warm_start_requires_a_known_model(self, registry):
-        svc = StreamingService(registry=registry)
-        with pytest.raises(ServiceError):
-            svc.open_stream("a", method="mean", warm_start="nope")
-
     def test_foreign_pending_requests_are_rejected(self, registry,
                                                    small_panel,
                                                    incomplete_stream):
