@@ -4,16 +4,21 @@ These dataclasses are the wire format of :class:`repro.api.ImputationService`:
 every request validates itself before execution (bad input fails at the API
 boundary, not deep inside a worker), and every object round-trips through
 ``to_dict`` / ``from_dict`` so it can cross a JSON transport unchanged —
-tensors included (non-finite values are encoded as ``null``).
+tensors included.  A tensor's values travel as raw little-endian float64
+bytes and its mask as packed bits, both base64 inside the JSON, so NaN
+payloads, ±inf and -0.0 survive bit for bit; the number-list form older
+peers and stores wrote still decodes.  A result can carry only the values
+of the cells its request left missing (:meth:`ImputeResult.to_dict`).
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import importlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,16 +42,71 @@ __all__ = ["FitRequest", "ImputeRequest", "ImputeResult", "check_model_id",
 # tensor wire encoding
 # ---------------------------------------------------------------------- #
 def _array_to_wire(array: np.ndarray) -> Dict[str, object]:
-    """JSON-safe rendering of a float array (NaN/inf become ``None``)."""
-    flat = [value if math.isfinite(value) else None
-            for value in np.asarray(array, dtype=np.float64).ravel().tolist()]
-    return {"shape": list(array.shape), "data": flat}
+    """A float array as raw little-endian float64 bytes, base64-encoded.
+
+    Every value survives bit for bit: NaN payloads, ±inf and -0.0 too.
+    """
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"shape": list(array.shape),
+            "f8": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
-def _array_from_wire(payload: Dict[str, object]) -> np.ndarray:
-    flat = np.array([np.nan if value is None else value
-                     for value in payload["data"]], dtype=np.float64)
-    return flat.reshape(payload["shape"])
+def _mask_to_wire(mask: np.ndarray) -> Dict[str, object]:
+    """A 0/1 mask as packed bits (C order, first cell in the high bit)."""
+    mask = np.asarray(mask)
+    return {"shape": list(mask.shape),
+            "bits": base64.b64encode(
+                np.packbits(mask.ravel() == 1).tobytes()).decode("ascii")}
+
+
+def _wire_shape(payload) -> Tuple[int, ...]:
+    shape = payload.get("shape") if isinstance(payload, dict) else None
+    if not isinstance(shape, list) \
+            or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValidationError(
+            f"a wire array needs a shape of non-negative ints, got {shape!r}")
+    return tuple(shape)
+
+
+def _wire_bytes(text, expected: int, label: str) -> bytes:
+    """Decode base64 ``text``, which must hold exactly ``expected`` bytes.
+
+    The wire is input from outside the process: a payload that does not
+    match its shape is refused, never reshaped.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as error:  # binascii.Error: ValueError
+        raise ValidationError(
+            f"wire {label} is not valid base64 ({error})") from None
+    if len(raw) != expected:
+        raise ValidationError(f"wire {label} holds {len(raw)} bytes; its "
+                              f"shape needs {expected}")
+    return raw
+
+
+def _array_from_wire(payload) -> np.ndarray:
+    shape = _wire_shape(payload)
+    count = math.prod(shape)
+    if "data" in payload:                 # the older number-list form
+        flat = np.array([np.nan if value is None else value
+                         for value in payload["data"]], dtype=np.float64)
+        if flat.size != count:
+            raise ValidationError(f"wire array holds {flat.size} numbers; "
+                                  f"its shape needs {count}")
+        return flat.reshape(shape)
+    raw = _wire_bytes(payload.get("f8"), 8 * count, "values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _mask_from_wire(payload) -> np.ndarray:
+    if isinstance(payload, dict) and "bits" not in payload:
+        return _array_from_wire(payload)  # older forms carry a float list
+    shape = _wire_shape(payload)
+    count = math.prod(shape)
+    raw = _wire_bytes(payload["bits"], (count + 7) // 8, "mask")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+    return bits.astype(np.float64).reshape(shape)
 
 
 def tensor_to_dict(tensor: TimeSeriesTensor) -> Dict[str, object]:
@@ -65,13 +125,17 @@ def tensor_to_dict(tensor: TimeSeriesTensor) -> Dict[str, object]:
     return {
         "name": tensor.name,
         "values": _array_to_wire(tensor.values),
-        "mask": _array_to_wire(tensor.mask),
+        "mask": _mask_to_wire(tensor.mask),
         "dimensions": dimensions,
     }
 
 
 def tensor_from_dict(payload: Dict[str, object]) -> TimeSeriesTensor:
-    """Inverse of :func:`tensor_to_dict`."""
+    """Inverse of :func:`tensor_to_dict`; also reads the number-list form.
+
+    Raises :class:`ValidationError` when an array's bytes do not match
+    its shape.
+    """
     dimensions = []
     for spec in payload["dimensions"]:
         if spec["kind"] == "vector":
@@ -82,7 +146,7 @@ def tensor_from_dict(payload: Dict[str, object]) -> TimeSeriesTensor:
     return TimeSeriesTensor(
         values=_array_from_wire(payload["values"]),
         dimensions=dimensions,
-        mask=_array_from_wire(payload["mask"]),
+        mask=_mask_from_wire(payload["mask"]),
         name=payload.get("name", "dataset"),
     )
 
@@ -322,29 +386,86 @@ class ImputeResult:
     #: transformer forward pass ran for it.
     fast_path: bool = False
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
+    def to_dict(self, data: Optional[TimeSeriesTensor] = None
+                ) -> Dict[str, object]:
+        """The result's wire form.
+
+        Given ``data``, the tensor the request carried, only the values
+        the result holds at the cells ``data`` left missing are encoded
+        (``"filled"``), and :meth:`from_dict` rebuilds the completed
+        tensor from the same ``data``.  That is exact whenever
+        ``completed`` is ``data.fill(...)``, as every built-in imputer's
+        answer is; any other answer (a plugin's may be one), and a result
+        without ``data``, is encoded whole (``"completed"``).
+        """
+        filled = None if data is None else _filled_cells(data, self.completed)
+        payload: Dict[str, object] = {
             "request_id": self.request_id,
             "model_id": self.model_id,
             "method": self.method,
-            "completed": tensor_to_dict(self.completed),
             "runtime_seconds": float(self.runtime_seconds),
             "latency_seconds": float(self.latency_seconds),
             "from_batch": bool(self.from_batch),
             "fused": bool(self.fused),
             "fast_path": bool(self.fast_path),
         }
+        if filled is None:
+            payload["completed"] = tensor_to_dict(self.completed)
+        else:
+            payload["filled"] = _array_to_wire(filled)
+        return payload
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ImputeResult":
+    def from_dict(cls, payload: Dict[str, object],
+                  data: Optional[TimeSeriesTensor] = None) -> "ImputeResult":
+        """Inverse of :meth:`to_dict`; ``"filled"`` payloads need ``data``."""
+        if "completed" in payload:
+            completed = tensor_from_dict(payload["completed"])
+        elif data is None:
+            raise ValidationError(
+                f"result {payload.get('request_id')!r} carries only its "
+                "filled cells; rebuilding it needs its request's data")
+        else:
+            completed = _fill_from_wire(data, payload["filled"])
         return cls(
             request_id=payload["request_id"],
             model_id=payload["model_id"],
             method=payload["method"],
-            completed=tensor_from_dict(payload["completed"]),
+            completed=completed,
             runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
             latency_seconds=float(payload.get("latency_seconds", 0.0)),
             from_batch=bool(payload.get("from_batch", False)),
             fused=bool(payload.get("fused", False)),
             fast_path=bool(payload.get("fast_path", False)),
         )
+
+
+def _filled_cells(data: TimeSeriesTensor,
+                  completed: TimeSeriesTensor) -> Optional[np.ndarray]:
+    """``completed``'s values at ``data``'s missing cells, in C order.
+
+    ``None`` unless ``completed`` is exactly ``data.fill(...)``: same
+    shape and name, every cell observed, and every cell ``data`` observed
+    unchanged bit for bit.
+    """
+    if completed.values.shape != data.values.shape \
+            or completed.name != data.name or not (completed.mask == 1).all():
+        return None
+    observed = data.mask == 1
+    if not np.array_equal(completed.values[observed].view(np.uint64),
+                          data.values[observed].view(np.uint64)):
+        return None
+    return completed.values[~observed]
+
+
+def _fill_from_wire(data: TimeSeriesTensor, payload) -> TimeSeriesTensor:
+    filled = _array_from_wire(payload)
+    missing = data.mask != 1
+    count = int(missing.sum())
+    if filled.shape != (count,):
+        raise ValidationError(
+            f"a result fills {filled.size} cells but its request leaves "
+            f"{count} missing (was its id resent with other data?)")
+    imputed = data.values.copy()
+    imputed[missing] = filled
+    return data.fill(imputed)

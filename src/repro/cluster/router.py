@@ -13,7 +13,9 @@ Every ``serve`` RPC goes through one helper, whether it carries a
 (:class:`RemoteModel`) or a synchronous :meth:`ClusterRouter.impute`:
 it encodes the requests, ships each traced request's ``cluster.rpc``
 context on the wire (so the shard's spans nest under the RPC span) and
-decodes the shard's results and failures.  ``gather`` ends the way
+decodes the shard's results and failures, rebuilding each completed
+tensor from the request it sent (a result carries only the values of the
+cells its request left missing).  ``gather`` ends the way
 :meth:`ImputationService.gather` does: results in submit order, or a
 :class:`~repro.exceptions.ServiceError` carrying the partial results.
 
@@ -570,7 +572,11 @@ class ClusterRouter:
             obs_trace.write_span("cluster.rpc", rpc_ctx, start, end,
                                  {"shard": owner,
                                   "batch_size": len(entries)})
-        results = {request_id: ImputeResult.from_dict(wire)
+        # results carry only their filled cells: rebuild each from the
+        # request's own data
+        data = {request.request_id: request.data for request, _ in queued}
+        results = {request_id: ImputeResult.from_dict(wire,
+                                                      data.get(request_id))
                    for request_id, wire in reply["results"].items()}
         errors = {failure["request_id"]: failure["error"]
                   for failure in reply["failures"]}

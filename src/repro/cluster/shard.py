@@ -4,15 +4,19 @@ A shard hosts its own :class:`~repro.api.service.ImputationService` whose
 :class:`~repro.api.service.ModelStore` persists through the shard's
 :class:`~repro.cluster.store.DurableStore` (SQLite blobs behind the LRU
 cache), and serves a small length-prefixed protocol over a loopback
-socket.  Messages are 4-byte big-endian length + UTF-8 JSON; tensors ride
-the existing wire codec (:func:`repro.api.requests.tensor_to_dict`), so
-the cluster tier adds framing, not a new serialisation format.
+socket.  Messages are 4-byte big-endian length + UTF-8 JSON.  Tensors ride
+the binary wire codec of :mod:`repro.api.requests` (raw float64 bytes and
+packed mask bits, base64 inside the JSON), and a result carries only the
+values of the cells its request left missing; the router rebuilds the
+completed tensor from the request it sent.
 
-Durability contract per ``serve`` request:
+Durability contract per ``serve`` RPC:
 
 1. already-committed results are answered from the ledger (dedupe);
-2. live requests are journaled *before* serving;
-3. results are committed idempotently, then answered.
+2. the RPC's live requests are journaled *before* serving, all with one
+   journal write and one commit;
+3. its results are committed idempotently, and its failures journaled,
+   with one more write and one more commit; then they are answered.
 
 A shard killed between (2) and (3) owes answers: :func:`replay_pending`
 (run at startup) re-serves every journaled-but-unanswered request through
@@ -35,7 +39,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.requests import FitRequest, ImputeRequest
+from repro.api.requests import FitRequest, ImputeRequest, ImputeResult
 from repro.api.service import (
     ImputationService,
     ModelStore,
@@ -95,34 +99,39 @@ def recv_message(sock: socket.socket) -> Optional[Dict]:
 # serving and replay
 # ---------------------------------------------------------------------- #
 def serve_and_commit(store: DurableStore, service: ImputationService,
-                     model_id: str, entries: List[Dict], shard: str
+                     by_model: Dict[str, List[Dict]], shard: str
                      ) -> Tuple[Dict[str, Dict], List[Dict[str, str]], int]:
-    """Serve one model's journaled requests and commit each answer once.
+    """Serve journaled requests, then commit every answer once, together.
 
-    Shared by live ``serve`` RPCs and :func:`replay_pending`.  ``entries``
-    are serve-RPC entries, ``{"request": wire, "enqueued_at": stamp}``
-    (replayed ones carry no stamp).  The batch runs through
-    :func:`~repro.api.service.execute_serving_batch`; each result then
-    commits through the exactly-once ledger, and one the ledger already
-    holds is answered with its stored copy.  A model the shard does not
-    store fails every entry.  Failures are journaled, so replay stops
-    retrying them.
+    Shared by live ``serve`` RPCs and :func:`replay_pending`.
+    ``by_model`` maps a model id to its serve-RPC entries,
+    ``{"request": wire, "enqueued_at": stamp}`` (replayed ones carry no
+    stamp).  Each model's entries run through
+    :func:`~repro.api.service.execute_serving_batch` as one batch; a model
+    the shard does not store fails every entry.  Then one store group
+    (one journal write, one commit) commits each result through the
+    exactly-once ledger and journals each failure, so replay stops
+    retrying it.  A result the ledger already holds is answered with its
+    stored copy.
 
     Returns ``(results, failures, deduped)``: request id -> wire result,
     ``[{request_id, error}]`` and the number of ledger hits.
     """
-    results: Dict[str, Dict] = {}
-    deduped = 0
-    if model_id not in service.store:
-        failures = [{"request_id": entry["request"]["request_id"],
-                     "error": f"unknown model id {model_id!r} on shard "
-                              f"{shard!r} (stale ring?)"}
-                    for entry in entries]
-    else:
+    # (model id, request, result, serve start, batch size) per answer
+    served: List[Tuple[str, ImputeRequest, ImputeResult, float, int]] = []
+    failed: List[Tuple[str, Dict[str, str]]] = []
+    # request_id -> the shard-serve span context minted for it; written
+    # after the commit so the span covers serve + commit.
+    serve_ctxs: Dict[str, obs_trace.TraceContext] = {}
+    for model_id, entries in by_model.items():
+        if model_id not in service.store:
+            failed.extend(
+                (model_id, {"request_id": entry["request"]["request_id"],
+                            "error": f"unknown model id {model_id!r} on "
+                                     f"shard {shard!r} (stale ring?)"})
+                for entry in entries)
+            continue
         requests = []
-        # request_id -> the shard-serve span context minted for it;
-        # written after commit so the span covers serve + commit.
-        serve_ctxs: Dict[str, obs_trace.TraceContext] = {}
         for entry in entries:
             decode_start = time.perf_counter()
             request = ImputeRequest.from_dict(entry["request"])
@@ -150,31 +159,43 @@ def serve_and_commit(store: DurableStore, service: ImputationService,
                              imputer=service.store.get(model_id))
         serve_start = time.perf_counter()
         job = execute_serving_batch(batch)
-        for result in job.result["results"]:
-            wire_result = result.to_dict()
-            commit_start = time.perf_counter()
-            inserted = store.commit_result(
-                result.request_id, model_id, wire_result,
-                latency_seconds=result.latency_seconds,
-                fused=result.fused, fast_path=result.fast_path)
-            serve_ctx = serve_ctxs.get(result.request_id)
-            if serve_ctx is not None:
-                end = time.perf_counter()
-                obs_trace.write_span("shard.commit", serve_ctx.child(),
-                                     commit_start, end, {"shard": shard})
-                obs_trace.write_span(
-                    "shard.serve", serve_ctx, serve_start, end,
-                    {"shard": shard, "model_id": model_id,
-                     "fast_path": result.fast_path, "fused": result.fused,
-                     "batch_size": len(requests)})
-            if not inserted:
+        by_id = {str(request.request_id): request for request in requests}
+        served.extend((model_id, by_id[result.request_id], result,
+                       serve_start, len(requests))
+                      for result in job.result["results"])
+        failed.extend((model_id, failure)
+                      for failure in job.result["failures"])
+
+    results: Dict[str, Dict] = {}
+    deduped = 0
+    commit_starts: Dict[str, float] = {}
+    with store.group():
+        for model_id, request, result, _, _ in served:
+            wire_result = result.to_dict(request.data)
+            commit_starts[result.request_id] = time.perf_counter()
+            if not store.commit_result(
+                    result.request_id, model_id, wire_result,
+                    latency_seconds=result.latency_seconds,
+                    fused=result.fused, fast_path=result.fast_path):
                 deduped += 1
                 wire_result = store.get_result(result.request_id)
             results[result.request_id] = wire_result
-        failures = job.result["failures"]
-    for failure in failures:
-        store.mark_failed(failure["request_id"], model_id, failure["error"])
-    return results, failures, deduped
+        for model_id, failure in failed:
+            store.mark_failed(failure["request_id"], model_id,
+                              failure["error"])
+    end = time.perf_counter()
+    for model_id, _, result, serve_start, batch_size in served:
+        serve_ctx = serve_ctxs.get(result.request_id)
+        if serve_ctx is not None:
+            obs_trace.write_span("shard.commit", serve_ctx.child(),
+                                 commit_starts[result.request_id], end,
+                                 {"shard": shard})
+            obs_trace.write_span(
+                "shard.serve", serve_ctx, serve_start, end,
+                {"shard": shard, "model_id": model_id,
+                 "fast_path": result.fast_path, "fused": result.fused,
+                 "batch_size": batch_size})
+    return results, [failure for _, failure in failed], deduped
 
 
 def replay_pending(store: DurableStore,
@@ -196,13 +217,13 @@ def replay_pending(store: DurableStore,
     for entry in pending:
         by_model.setdefault(entry["model_id"], []).append(
             {"request": entry["payload"]})
-    for model_id, entries in by_model.items():
-        stale = model_id not in service.store
-        results, failures, deduped = serve_and_commit(
-            store, service, model_id, entries, store.directory.name)
-        summary["replayed"] += len(results) - deduped
-        summary["deduped"] += deduped
-        summary["stale" if stale else "failed"] += len(failures)
+    # every entry of a model the shard does not store fails as stale
+    stale = sum(len(entries) for model_id, entries in by_model.items()
+                if model_id not in service.store)
+    results, failures, deduped = serve_and_commit(
+        store, service, by_model, store.directory.name)
+    summary.update(replayed=len(results) - deduped, deduped=deduped,
+                   stale=stale, failed=len(failures) - stale)
     return summary
 
 
@@ -311,7 +332,7 @@ class ShardServer:
         results: Dict[str, Dict] = {}
         failures: List[Dict[str, str]] = []
         deduped = 0
-        by_model: Dict[str, List[Dict]] = {}
+        fresh: List[Dict] = []
         for entry in payload["entries"]:
             wire = entry["request"]
             request_id = wire.get("request_id")
@@ -335,21 +356,29 @@ class ShardServer:
                                  "error": "deadline expired before the "
                                           "shard admitted the request"})
                 continue
-            journal_start = time.perf_counter()
-            self.store.journal_request(request_id, wire["model_id"], wire)
-            if obs_trace.enabled():
-                rpc_ctx = obs_trace.TraceContext.from_wire(wire.get("trace"))
+            fresh.append(entry)
+        by_model: Dict[str, List[Dict]] = {}
+        journal_start = time.perf_counter()
+        with self.store.group():
+            for entry in fresh:
+                wire = entry["request"]
+                self.store.journal_request(wire["request_id"],
+                                           wire["model_id"], wire)
+                by_model.setdefault(wire["model_id"], []).append(entry)
+        if obs_trace.enabled():
+            journal_end = time.perf_counter()
+            for entry in fresh:
+                rpc_ctx = obs_trace.TraceContext.from_wire(
+                    entry["request"].get("trace"))
                 if rpc_ctx is not None:
                     obs_trace.write_span("shard.journal", rpc_ctx.child(),
-                                         journal_start, time.perf_counter(),
+                                         journal_start, journal_end,
                                          {"shard": self.name})
-            by_model.setdefault(wire["model_id"], []).append(entry)
-        for model_id, entries in by_model.items():
-            served, failed, hits = serve_and_commit(
-                self.store, self.service, model_id, entries, self.name)
-            results.update(served)
-            failures.extend(failed)
-            deduped += hits
+        served, failed, hits = serve_and_commit(
+            self.store, self.service, by_model, self.name)
+        results.update(served)
+        failures.extend(failed)
+        deduped += hits
         return {"ok": True, "results": results, "failures": failures,
                 "deduped": deduped}
 

@@ -14,13 +14,21 @@ One :class:`DurableStore` per shard directory, holding three tables in
 * ``journal`` — an append-only log of every request admission and result
   commit, with monotone sequence numbers.
 
-The journal is written twice: a line of ``journal.jsonl`` (flushed before
-the SQLite transaction commits) and a table row.  The *file* is the
+The journal is written twice: a line of ``journal.jsonl`` (written
+before the SQLite transaction commits) and a table row.  The *file* is the
 recovery authority — :meth:`DurableStore.ingest_journal` replays it into
 the tables on every open, idempotently by ``seq``, healing rows a SIGKILL
-separated from their transaction.  A torn final line (the one write a kill
-can interrupt) is dropped and counted; torn *interior* records mean real
+separated from their transaction.  A torn final line (a kill can interrupt
+only the final write) is dropped, counted and cut from the file, so the
+next append starts a line of its own; torn *interior* records mean real
 corruption and raise.
+
+Writes come in groups (:meth:`DurableStore.group`): the shard journals a
+serve RPC's requests with one ``O_APPEND`` write and one commit, and its
+results and failures with one more of each.  Each payload is kept twice,
+once in the file and once in SQLite: a request's in its ``journal`` row,
+a result's in its ``results`` row (its ``journal`` row keeps only the
+stamps the analytics read).
 
 The journal *table* exists so telemetry is one query away: SQL window
 functions compute p99-over-time, per-model QPS and fusion-rate trends
@@ -31,13 +39,15 @@ at once via ``ATTACH``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sqlite3
-import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.lockcheck import checked_rlock, guarded_by
 from repro.baselines.base import BaseImputer
 from repro.engine.artifacts import dump_imputer_bytes, load_imputer_bytes
 from repro.engine.cache import append_record_line
@@ -83,7 +93,17 @@ CREATE TABLE IF NOT EXISTS journal (
 );
 """
 
+_INSERT_JOURNAL = (
+    "INSERT OR IGNORE INTO journal "
+    "(seq, kind, request_id, model_id, wall, latency_seconds, fused, "
+    " fast_path, payload) VALUES (?,?,?,?,?,?,?,?,?)")
+_INSERT_RESULT = (
+    "INSERT OR IGNORE INTO results "
+    "(request_id, seq, model_id, payload, wall, latency_seconds, fused, "
+    " fast_path) VALUES (?,?,?,?,?,?,?,?)")
 
+
+@guarded_by("_lock", "_seq", "_lines")
 class DurableStore:
     """Durable shard state under one directory (``store.db`` + journal file).
 
@@ -98,11 +118,13 @@ class DurableStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.db_path = self.directory / DB_FILENAME
         self.journal_path = self.directory / JOURNAL_FILENAME
-        self._lock = threading.Lock()
+        self._lock = checked_rlock("DurableStore._lock")
         self._con = sqlite3.connect(str(self.db_path),
                                     check_same_thread=False)
         self._con.executescript(_SCHEMA)
         self._con.commit()
+        #: journal lines of the open :meth:`group`; ``None`` outside one
+        self._lines: Optional[List[str]] = None
         #: torn trailing journal records dropped during the last ingest
         self.truncated_records = 0
         #: rows healed into the tables from the journal file at open
@@ -120,16 +142,17 @@ class DurableStore:
     def ingest_journal(self) -> int:
         """Replay ``journal.jsonl`` into the tables, idempotently by seq.
 
-        The file line is flushed before its SQLite transaction commits, so
+        The file is written before its SQLite transaction commits, so
         after a SIGKILL the file can be ahead of the tables; this heals the
         gap.  Returns the number of rows actually inserted.  A torn final
-        line is dropped (and counted in :attr:`truncated_records`); a torn
-        interior line raises :class:`ValueError` — that is corruption, not
-        an interrupted write.
+        line is dropped (and counted in :attr:`truncated_records`) and its
+        bytes are cut from the file, so the next append cannot land on the
+        same line; a torn interior line raises :class:`ValueError` — that
+        is corruption, not an interrupted write.
         """
         if not self.journal_path.exists():
             return 0
-        lines = self.journal_path.read_text(encoding="utf-8").splitlines()
+        lines = self.journal_path.read_bytes().split(b"\n")
         healed = 0
         with self._lock:
             for index, line in enumerate(lines):
@@ -138,8 +161,10 @@ class DurableStore:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    if index == len(lines) - 1:
+                    if not any(rest.strip() for rest in lines[index + 1:]):
                         self.truncated_records += 1
+                        os.truncate(self.journal_path, sum(
+                            len(kept) + 1 for kept in lines[:index]))
                         break
                     raise ValueError(
                         f"corrupt journal record at line {index + 1} of "
@@ -151,37 +176,62 @@ class DurableStore:
         return healed
 
     def _heal_record(self, record: Dict) -> int:
-        """Insert one journal-file record into the tables if missing."""
-        inserted = self._con.execute(
-            "INSERT OR IGNORE INTO journal "
-            "(seq, kind, request_id, model_id, wall, latency_seconds, "
-            " fused, fast_path, payload) VALUES (?,?,?,?,?,?,?,?,?)",
-            (record["seq"], record["kind"], record["request_id"],
-             record["model_id"], record["wall"],
-             record.get("latency_seconds"), record.get("fused"),
-             record.get("fast_path"),
-             json.dumps(record["payload"])
-             if record.get("payload") is not None else None)).rowcount
-        if record["kind"] == "result" and record.get("payload") is not None:
-            inserted += self._con.execute(
-                "INSERT OR IGNORE INTO results "
-                "(request_id, seq, model_id, payload, wall, "
-                " latency_seconds, fused, fast_path) "
-                "VALUES (?,?,?,?,?,?,?,?)",
-                (record["request_id"], record["seq"], record["model_id"],
-                 json.dumps(record["payload"]), record["wall"],
-                 record.get("latency_seconds"), record.get("fused"),
-                 record.get("fast_path"))).rowcount
+        """Insert one journal-file record into the tables if missing.
+
+        A result's payload goes to its ``results`` row only.
+        """
+        payload = record.get("payload")
+        text = json.dumps(payload) if payload is not None else None
+        result = record["kind"] == "result"
+        inserted = self._con.execute(_INSERT_JOURNAL, (
+            record["seq"], record["kind"], record["request_id"],
+            record["model_id"], record["wall"], record.get("latency_seconds"),
+            record.get("fused"), record.get("fast_path"),
+            None if result else text)).rowcount
+        if result and text is not None:
+            inserted += self._con.execute(_INSERT_RESULT, (
+                record["request_id"], record["seq"], record["model_id"], text,
+                record["wall"], record.get("latency_seconds"),
+                record.get("fused"), record.get("fast_path"))).rowcount
         return int(inserted)
 
-    def _append_line(self, record: Dict) -> None:
-        # One O_APPEND os.write per record (the ResultCache.put
-        # discipline, RL004): the line is in the OS before the SQLite
-        # transaction commits, survives a SIGKILL of this process (the
-        # crash mode the cluster bench injects), and can never interleave
-        # inside another writer's record.  Whole-host crashes would need
-        # an fsync here; that trade is documented, not silently taken.
-        append_record_line(self.journal_path, json.dumps(record))
+    @contextlib.contextmanager
+    def group(self) -> Iterator[None]:
+        """Make the journal writes inside one file write and one commit.
+
+        :meth:`journal_request`, :meth:`commit_result` and
+        :meth:`mark_failed` calls inside the block run their SQL in one
+        open transaction and buffer their journal lines.  Leaving the
+        block writes every line with one ``O_APPEND`` write (RL004: other
+        writers' lines never land inside it), then commits.  The file
+        still leads the tables, so recovery is unchanged: a kill before the
+        write loses the whole group, and lines a kill left ahead of the
+        commit heal into the tables on the next open.  The lines reach the
+        OS, not the disk, before the commit: they survive a SIGKILL of this
+        process (the crash mode the cluster bench injects), while a
+        whole-host crash would need an fsync here — a trade documented,
+        not silently taken.
+
+        The lock is held throughout, so other threads' writes wait for the
+        group.  An exception rolls the transaction back; sequence numbers
+        already handed out are not reused.  Groups nest: the outermost one
+        writes and commits.
+        """
+        with self._lock:
+            if self._lines is not None:
+                yield
+                return
+            self._lines = []
+            try:
+                yield
+                if self._lines:
+                    append_record_line(self.journal_path, *self._lines)
+                self._con.commit()
+            except BaseException:
+                self._con.rollback()
+                raise
+            finally:
+                self._lines = None
 
     # ------------------------------------------------------------------ #
     # request journal + exactly-once results
@@ -190,11 +240,11 @@ class DurableStore:
                         payload: Dict) -> int:
         """Record an admitted request before serving it; returns its seq.
 
-        The journal line hits the file (flushed) before the table commit,
-        so a shard killed mid-serve still knows, on restart, which requests
-        it owes answers to (:meth:`pending_requests`).
+        The journal line hits the file before the table commit, so a shard
+        killed mid-serve still knows, on restart, which requests it owes
+        answers to (:meth:`pending_requests`).
         """
-        with self._lock:
+        with self.group():
             self._seq += 1
             seq = self._seq
             record = {"seq": seq, "kind": "request",
@@ -203,9 +253,8 @@ class DurableStore:
                       # analytics bucket over real time, across restarts
                       "wall": time.time(),  # repro-lint: allow[wall-clock]
                       "payload": payload}
-            self._append_line(record)
+            self._lines.append(json.dumps(record))
             self._heal_record(record)
-            self._con.commit()
             return seq
 
     def commit_result(self, request_id: str, model_id: str, payload: Dict,
@@ -219,50 +268,36 @@ class DurableStore:
         returns False — callers then serve the stored answer instead
         (:meth:`get_result`).
         """
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
+        with self.group():
+            seq = self._seq + 1
             wall = time.time()  # repro-lint: allow[wall-clock] (journal stamp)
-            inserted = self._con.execute(
-                "INSERT OR IGNORE INTO results "
-                "(request_id, seq, model_id, payload, wall, "
-                " latency_seconds, fused, fast_path) "
-                "VALUES (?,?,?,?,?,?,?,?)",
-                (request_id, seq, model_id, json.dumps(payload), wall,
-                 latency_seconds, int(fused), int(fast_path))).rowcount
-            if not inserted:
-                self._seq -= 1
-                self._con.commit()
+            if not self._con.execute(_INSERT_RESULT, (
+                    request_id, seq, model_id, json.dumps(payload), wall,
+                    latency_seconds, int(fused), int(fast_path))).rowcount:
                 return False
-            record = {"seq": seq, "kind": "result",
-                      "request_id": request_id, "model_id": model_id,
-                      "wall": wall, "latency_seconds": latency_seconds,
-                      "fused": int(fused), "fast_path": int(fast_path),
-                      "payload": payload}
-            self._append_line(record)
-            self._con.execute(
-                "INSERT OR IGNORE INTO journal "
-                "(seq, kind, request_id, model_id, wall, latency_seconds, "
-                " fused, fast_path, payload) VALUES (?,?,?,?,?,?,?,?,?)",
-                (seq, "result", request_id, model_id, wall,
-                 latency_seconds, int(fused), int(fast_path),
-                 json.dumps(payload)))
-            self._con.commit()
+            self._seq = seq
+            self._lines.append(json.dumps({
+                "seq": seq, "kind": "result", "request_id": request_id,
+                "model_id": model_id, "wall": wall,
+                "latency_seconds": latency_seconds, "fused": int(fused),
+                "fast_path": int(fast_path), "payload": payload}))
+            self._con.execute(_INSERT_JOURNAL, (
+                seq, "result", request_id, model_id, wall, latency_seconds,
+                int(fused), int(fast_path), None))
             return True
 
     def mark_failed(self, request_id: str, model_id: str,
                     error: str) -> int:
         """Journal a request as failed so replay stops retrying it."""
-        with self._lock:
+        with self.group():
             self._seq += 1
             seq = self._seq
             record = {"seq": seq, "kind": "failed",
                       "request_id": request_id, "model_id": model_id,
                       "wall": time.time(),  # repro-lint: allow[wall-clock]
                       "payload": {"error": error}}
-            self._append_line(record)
+            self._lines.append(json.dumps(record))
             self._heal_record(record)
-            self._con.commit()
             return seq
 
     def get_result(self, request_id: str) -> Optional[Dict]:

@@ -61,16 +61,17 @@ def _advisory_lock(lock_path: Path):
         os.close(fd)
 
 
-def append_record_line(path: Union[str, os.PathLike], line: str) -> None:
-    """Append one complete text line with a single ``O_APPEND`` write.
+def append_record_line(path: Union[str, os.PathLike], *lines: str) -> None:
+    """Append complete text lines with a single ``O_APPEND`` write.
 
     The journal-write discipline (repro-lint RL004) as a reusable helper:
-    the encoded line lands via ``os.write`` on an ``O_APPEND`` descriptor,
-    so concurrent writers interleave between records, never inside one,
-    and a SIGKILL can tear at most the final line.  ``line`` should not
-    contain a newline; one is appended.
+    the encoded lines land together via ``os.write`` on an ``O_APPEND``
+    descriptor, so concurrent writers interleave between writes, never
+    inside one, and a SIGKILL can tear only the tail of the final write
+    (several lines, when it carried several).  No line should contain a
+    newline; one is appended to each.
     """
-    encoded = (line + "\n").encode("utf-8")
+    encoded = "".join(line + "\n" for line in lines).encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         view = memoryview(encoded)

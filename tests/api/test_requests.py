@@ -1,5 +1,6 @@
 """Tests of the typed request/response wire objects."""
 
+import base64
 import json
 
 import numpy as np
@@ -13,6 +14,9 @@ from repro.api import (
     tensor_to_dict,
 )
 from repro.baselines.registry import get_registry
+from repro.baselines.simple import MeanImputer
+from repro.data.dimensions import Dimension
+from repro.data.tensor import TimeSeriesTensor
 from repro.exceptions import ConfigError, ValidationError
 
 
@@ -27,11 +31,72 @@ class TestTensorWireFormat:
             [d.name for d in tiny_tensor.dimensions]
 
     def test_wire_format_is_json_serialisable(self, tiny_tensor):
-        # NaNs must be encoded as null, not leak into the JSON text.
+        # NaNs must travel inside the encoded bytes, not leak into the
+        # JSON text as bare NaN tokens.
         text = json.dumps(tensor_to_dict(tiny_tensor))
         assert "NaN" not in text
         restored = tensor_from_dict(json.loads(text))
         assert restored.shape == tiny_tensor.shape
+
+    def test_every_float_survives_bit_for_bit(self):
+        payload_nan = np.array([0x7FF8_0000_DEAD_BEEF],
+                               dtype=np.uint64).view(np.float64)[0]
+        subnormal = np.nextafter(0.0, 1.0) * 3
+        values = np.array([[payload_nan, np.inf, -np.inf, -0.0],
+                           [subnormal, 1.5, np.nan, 2.0]])
+        mask = np.array([[0.0, 1.0, 1.0, 1.0],
+                         [1.0, 1.0, 0.0, 1.0]])
+        tensor = TimeSeriesTensor(
+            values=values, dimensions=[Dimension.categorical("s", 2)],
+            mask=mask)
+        restored = tensor_from_dict(
+            json.loads(json.dumps(tensor_to_dict(tensor))))
+        np.testing.assert_array_equal(restored.values.view(np.uint64),
+                                      values.view(np.uint64))
+        np.testing.assert_array_equal(restored.mask, mask)
+        assert restored.values.flags.writeable
+
+    def test_mask_with_cells_not_a_multiple_of_eight(self):
+        rng = np.random.default_rng(0)
+        mask = (rng.random((3, 7)) < 0.6).astype(float)
+        tensor = TimeSeriesTensor(
+            values=rng.normal(size=(3, 7)),
+            dimensions=[Dimension.categorical("s", 3)], mask=mask)
+        wire = tensor_to_dict(tensor)
+        assert len(base64.b64decode(wire["mask"]["bits"])) == 3  # 21 bits
+        restored = tensor_from_dict(json.loads(json.dumps(wire)))
+        np.testing.assert_array_equal(restored.mask, mask)
+
+    def test_number_list_form_still_decodes(self):
+        # The form older peers, journals and ledgers hold: every value a
+        # JSON number, non-finite values null, the mask as floats.
+        restored = tensor_from_dict({
+            "name": "old",
+            "values": {"shape": [2, 3], "data": [1.0, None, 3.0,
+                                                 4.0, 5.0, None]},
+            "mask": {"shape": [2, 3], "data": [1.0, 0.0, 1.0,
+                                               1.0, 1.0, 0.0]},
+            "dimensions": [{"name": "s", "kind": "categorical",
+                            "members": [0, 1]}]})
+        assert restored.name == "old"
+        np.testing.assert_array_equal(
+            restored.values, [[1.0, np.nan, 3.0], [4.0, 5.0, np.nan]])
+        np.testing.assert_array_equal(restored.mask,
+                                      [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("part, field, text, match", [
+        ("values", "f8", base64.b64encode(bytes(8 * 59)).decode(),
+         "holds 472 bytes; its shape needs 480"),
+        ("mask", "bits", base64.b64encode(bytes(7)).decode(),
+         "holds 7 bytes; its shape needs 8"),
+        ("values", "f8", "not base64!", "not valid base64"),
+    ], ids=["byte-count-off-shape", "too-few-mask-bits", "invalid-base64"])
+    def test_malformed_wire_is_refused(self, tiny_tensor, part, field, text,
+                                       match):
+        wire = tensor_to_dict(tiny_tensor)   # 3 x 20: 480 bytes, 60 bits
+        wire[part][field] = text
+        with pytest.raises(ValidationError, match=match):
+            tensor_from_dict(wire)
 
 
 class TestFitRequest:
@@ -134,3 +199,37 @@ class TestImputeResult:
         assert restored.runtime_seconds == 0.25
         assert restored.from_batch is True
         assert restored.completed.shape == tiny_tensor.shape
+
+    def test_filled_cells_only_given_the_request_data(self, tiny_tensor):
+        completed = MeanImputer().fit(tiny_tensor).impute(tiny_tensor)
+        result = ImputeResult(request_id="r-1", model_id="m-1",
+                              method="mean", completed=completed,
+                              latency_seconds=0.5)
+        wire = json.loads(json.dumps(result.to_dict(tiny_tensor)))
+        assert "completed" not in wire
+        assert wire["filled"]["shape"] == [4]   # tiny_tensor's 4 gaps
+        restored = ImputeResult.from_dict(wire, tiny_tensor)
+        np.testing.assert_array_equal(
+            restored.completed.values.view(np.uint64),
+            completed.values.view(np.uint64))
+        np.testing.assert_array_equal(restored.completed.mask,
+                                      completed.mask)
+        assert restored.completed.name == completed.name
+        assert restored.latency_seconds == 0.5
+        with pytest.raises(ValidationError, match="request's data"):
+            ImputeResult.from_dict(wire)
+        other = tiny_tensor.with_missing(np.eye(3, 20))
+        with pytest.raises(ValidationError, match="resent with other data"):
+            ImputeResult.from_dict(wire, other)
+
+    def test_answer_that_is_not_a_fill_travels_whole(self, tiny_tensor):
+        completed = MeanImputer().fit(tiny_tensor).impute(tiny_tensor)
+        completed.values[1, 1] += 1.0          # an observed cell changed
+        result = ImputeResult(request_id="r-1", model_id="m-1",
+                              method="mean", completed=completed)
+        wire = result.to_dict(tiny_tensor)
+        assert "filled" not in wire
+        restored = ImputeResult.from_dict(json.loads(json.dumps(wire)),
+                                          tiny_tensor)
+        np.testing.assert_array_equal(restored.completed.values,
+                                      completed.values)

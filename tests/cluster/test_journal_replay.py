@@ -6,12 +6,15 @@ a restart under a stale ring (requests for a model this shard never had).
 """
 
 import json
+import math
+import sqlite3
 
+import numpy as np
 
-from repro.api.requests import ImputeRequest
+from repro.api.requests import ImputeRequest, ImputeResult
 from repro.api.service import ImputationService, ModelStore
 from repro.baselines.simple import MeanImputer
-from repro.cluster.shard import replay_pending
+from repro.cluster.shard import ShardServer, replay_pending
 from repro.cluster.store import DurableStore, SQLiteBackend
 
 
@@ -109,15 +112,110 @@ class TestReplayEdgeCases:
 
     def test_replayed_results_match_direct_serving(self, tmp_path,
                                                    tiny_tensor):
-        import numpy as np
-
         store = DurableStore(tmp_path)
         imputer = _put_mean_model(store, tiny_tensor)
         _journal_serve(store, "r1")
         replay_pending(store, _service(store))
-        from repro.api.requests import ImputeResult
-
         replayed = ImputeResult.from_dict(store.get_result("r1"))
         direct = imputer.impute(tiny_tensor)
         np.testing.assert_allclose(replayed.completed.values, direct.values)
         store.close()
+
+
+def _number_list(array):
+    """An array in the older wire form: JSON numbers, non-finite as null."""
+    return {"shape": list(array.shape),
+            "data": [value if math.isfinite(value) else None
+                     for value in np.asarray(array, dtype=float).ravel()
+                     .tolist()]}
+
+
+def _number_list_tensor(tensor):
+    return {"name": tensor.name, "values": _number_list(tensor.values),
+            "mask": _number_list(tensor.mask),
+            "dimensions": [{"name": d.name, "kind": "categorical",
+                            "members": list(d.members)}
+                           for d in tensor.dimensions]}
+
+
+class TestOlderStoreFormat:
+    """A store written before the binary codec and the grouped commits.
+
+    Its payloads are number lists, and a result's payload sits in its
+    ``results`` row, its ``journal`` row and its ``journal.jsonl`` line.
+    """
+
+    def _write_old_store(self, directory, imputer, pending, answered,
+                         stored):
+        store = DurableStore(directory)
+        store.put_model("m1", imputer, method="mean")
+        store.close()
+        wall = 1_700_000_000.0
+        lines = []
+        con = sqlite3.connect(str(directory / "store.db"))
+        for seq, (request_id, tensor) in enumerate(
+                [("r-answered", answered), ("r-pending", pending)], start=1):
+            wire = {"model_id": "m1", "data": _number_list_tensor(tensor),
+                    "request_id": request_id}
+            con.execute("INSERT INTO journal VALUES (?,?,?,?,?,?,?,?,?)",
+                        (seq, "request", request_id, "m1", wall, None, None,
+                         None, json.dumps(wire)))
+            lines.append({"seq": seq, "kind": "request",
+                          "request_id": request_id, "model_id": "m1",
+                          "wall": wall, "payload": wire})
+        result = {"request_id": "r-answered", "model_id": "m1",
+                  "method": "mean",
+                  "completed": _number_list_tensor(stored),
+                  "runtime_seconds": 0.001, "latency_seconds": 0.0125,
+                  "from_batch": True, "fused": False, "fast_path": False}
+        con.execute("INSERT INTO results VALUES (?,?,?,?,?,?,?,?)",
+                    ("r-answered", 3, "m1", json.dumps(result), wall,
+                     0.0125, 0, 0))
+        con.execute("INSERT INTO journal VALUES (?,?,?,?,?,?,?,?,?)",
+                    (3, "result", "r-answered", "m1", wall, 0.0125, 0, 0,
+                     json.dumps(result)))
+        lines.append({"seq": 3, "kind": "result", "request_id": "r-answered",
+                      "model_id": "m1", "wall": wall,
+                      "latency_seconds": 0.0125, "fused": 0, "fast_path": 0,
+                      "payload": result})
+        con.commit()
+        con.close()
+        (directory / "journal.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
+
+    def test_pending_request_replays_and_old_answer_is_resent(
+            self, tmp_path, tiny_tensor):
+        imputer = MeanImputer().fit(tiny_tensor)
+        answered = tiny_tensor.with_missing(np.eye(3, 20))
+        pending = tiny_tensor.with_missing(np.eye(3, 20)[::-1])
+        stored = imputer.impute(answered)
+        self._write_old_store(tmp_path, imputer, pending, answered, stored)
+
+        server = ShardServer("shard-0", tmp_path)
+        try:
+            assert server.replay_summary["pending"] == 1
+            assert server.replay_summary["replayed"] == 1
+            entries = [{"request": ImputeRequest(
+                           model_id="m1", data=data,
+                           request_id=request_id).to_dict()}
+                       for request_id, data in (("r-pending", pending),
+                                                ("r-answered", answered))]
+            reply = server.handle({"op": "serve", "entries": entries})
+            assert reply["deduped"] == 2 and reply["failures"] == []
+
+            replayed = ImputeResult.from_dict(reply["results"]["r-pending"],
+                                              pending)
+            np.testing.assert_array_equal(
+                replayed.completed.values.view(np.uint64),
+                imputer.impute(pending).values.view(np.uint64))
+            # the older full-tensor ledger row answers the resend as stored
+            resent = ImputeResult.from_dict(reply["results"]["r-answered"],
+                                            answered)
+            np.testing.assert_array_equal(resent.completed.values,
+                                          stored.values)
+            assert resent.latency_seconds == 0.0125
+            assert server.store.result_count() == 2
+            assert server.store.pending_requests() == []
+        finally:
+            server._listener.close()
+            server.store.close()

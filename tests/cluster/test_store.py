@@ -136,6 +136,89 @@ class TestJournal:
             DurableStore(tmp_path)
 
 
+    def test_torn_tail_is_cut_so_the_next_open_succeeds(self, tmp_path):
+        store = DurableStore(tmp_path)
+        store.journal_request("r1", "m1", {"request_id": "r1"})
+        store.close()
+        # SIGKILL mid-append: 25 bytes of a record, no newline.
+        journal = tmp_path / "journal.jsonl"
+        intact = journal.read_bytes()
+        torn = json.dumps({"seq": 2, "kind": "request",
+                           "request_id": "r-torn", "model_id": "m1",
+                           "wall": 0.0, "payload": {}})[:25]
+        journal.write_bytes(intact + torn.encode())
+
+        reopened = DurableStore(tmp_path)
+        assert reopened.truncated_records == 1
+        assert journal.read_bytes() == intact
+        reopened.journal_request("r2", "m1", {"request_id": "r2"})
+        reopened.journal_request("r3", "m1", {"request_id": "r3"})
+        reopened.close()
+
+        # Before the cut, r2's line landed on the torn line and this
+        # second open raised "corrupt journal record at line 2".
+        again = DurableStore(tmp_path)
+        assert again.truncated_records == 0
+        assert [entry["request_id"] for entry in again.pending_requests()] \
+            == ["r1", "r2", "r3"]
+        again.close()
+
+    def test_group_is_one_write_and_one_commit(self, tmp_path,
+                                               monkeypatch):
+        import repro.cluster.store as store_module
+
+        writes = []
+        append = store_module.append_record_line
+
+        def counting_append(path, *lines):
+            writes.append(len(lines))
+            append(path, *lines)
+
+        monkeypatch.setattr(store_module, "append_record_line",
+                            counting_append)
+        store = DurableStore(tmp_path)
+        journal = tmp_path / "journal.jsonl"
+        with store.group():
+            store.journal_request("r1", "m1", {"request_id": "r1"})
+            store.journal_request("r2", "m1", {"request_id": "r2"})
+            assert store.commit_result("r1", "m1", _result_payload("r1"))
+            assert not store.commit_result("r1", "m1",
+                                           _result_payload("r1", 9.0))
+            store.mark_failed("r2", "m1", "boom")
+            # nothing is written or committed before the group ends
+            assert not journal.exists()
+            outside = sqlite3.connect(str(tmp_path / "store.db"))
+            assert outside.execute(
+                "SELECT COUNT(*) FROM journal").fetchone() == (0,)
+            outside.close()
+        assert writes == [4]
+        assert [json.loads(line)["seq"]
+                for line in journal.read_text().splitlines()] == [1, 2, 3, 4]
+        assert store.journal_counts() == {"request": 2, "result": 1,
+                                          "failed": 1}
+        assert store.get_result("r1")["value"] == 1.0
+        # a result's payload is kept in its results row, not its journal row
+        assert store._con.execute(
+            "SELECT payload FROM journal WHERE kind = 'result'"
+        ).fetchall() == [(None,)]
+        store.close()
+
+    def test_group_that_raises_leaves_no_rows_and_no_lines(self, tmp_path):
+        store = DurableStore(tmp_path)
+        store.journal_request("r0", "m1", {"request_id": "r0"})
+        with pytest.raises(RuntimeError):
+            with store.group():
+                store.journal_request("r1", "m1", {"request_id": "r1"})
+                raise RuntimeError("killed mid-group")
+        assert [entry["request_id"]
+                for entry in store.pending_requests()] == ["r0"]
+        assert len((tmp_path / "journal.jsonl").read_text()
+                   .splitlines()) == 1
+        # the seq r1 was handed is never reused
+        assert store.journal_request("r2", "m1", {"request_id": "r2"}) == 3
+        store.close()
+
+
 class TestAnalytics:
     @staticmethod
     def _fill(store, model_id="m1", fused_tail=True):
